@@ -11,7 +11,6 @@
 use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -24,40 +23,37 @@ fn main() {
 
     let mut csv = String::from("policy,beta,spread,convergence_era,f_oscillation,resp_ms\n");
     for policy in PolicyKind::ALL {
-        // Parallel sweep: each β is an independent run (rayon).
-        let rows: Vec<(f64, String, String)> = betas
-            .par_iter()
-            .map(|&beta| {
-                let mut cfg = ExperimentConfig::three_region_fig4(policy, 2016);
-                cfg.predictor = PredictorChoice::Oracle;
-                cfg.beta = beta;
-                cfg.name = format!("ablation-beta-{policy}-{beta}");
-                let tel = run_experiment(&cfg);
-                let w = tel.eras() / 3;
-                let conv = tel
-                    .convergence_era(1.25)
-                    .map_or("never".to_string(), |e| e.to_string());
-                let line = format!(
-                    "{:<28} {:>6.2} {:>10.3} {:>12} {:>12.4} {:>10.0}",
-                    policy.name(),
-                    beta,
-                    tel.rmttf_spread(w),
-                    conv,
-                    tel.fraction_oscillation(w),
-                    tel.tail_response(w) * 1000.0
-                );
-                let csv_line = format!(
-                    "{},{},{:.4},{},{:.5},{:.1}\n",
-                    policy.name(),
-                    beta,
-                    tel.rmttf_spread(w),
-                    conv,
-                    tel.fraction_oscillation(w),
-                    tel.tail_response(w) * 1000.0
-                );
-                (beta, line, csv_line)
-            })
-            .collect();
+        // Parallel sweep: each β is an independent run on the exec pool.
+        let rows: Vec<(f64, String, String)> = acm_exec::map_collect(betas.to_vec(), |beta| {
+            let mut cfg = ExperimentConfig::three_region_fig4(policy, 2016);
+            cfg.predictor = PredictorChoice::Oracle;
+            cfg.beta = beta;
+            cfg.name = format!("ablation-beta-{policy}-{beta}");
+            let tel = run_experiment(&cfg);
+            let w = tel.eras() / 3;
+            let conv = tel
+                .convergence_era(1.25)
+                .map_or("never".to_string(), |e| e.to_string());
+            let line = format!(
+                "{:<28} {:>6.2} {:>10.3} {:>12} {:>12.4} {:>10.0}",
+                policy.name(),
+                beta,
+                tel.rmttf_spread(w),
+                conv,
+                tel.fraction_oscillation(w),
+                tel.tail_response(w) * 1000.0
+            );
+            let csv_line = format!(
+                "{},{},{:.4},{},{:.5},{:.1}\n",
+                policy.name(),
+                beta,
+                tel.rmttf_spread(w),
+                conv,
+                tel.fraction_oscillation(w),
+                tel.tail_response(w) * 1000.0
+            );
+            (beta, line, csv_line)
+        });
         for (_, line, csv_line) in rows {
             println!("{line}");
             csv.push_str(&csv_line);

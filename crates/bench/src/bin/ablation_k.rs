@@ -10,7 +10,6 @@
 use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -29,39 +28,36 @@ fn main() {
         }
     }
     let mut csv = String::from("k,noise,spread,convergence_era,f_oscillation\n");
-    let rows: Vec<(String, String)> = jobs
-        .par_iter()
-        .map(|&(k, noise)| {
-            let mut cfg = ExperimentConfig::three_region_fig4(PolicyKind::Exploration, 2016);
-            cfg.predictor = PredictorChoice::Oracle;
-            cfg.k = k;
-            cfg.exploration_noise = noise;
-            cfg.name = format!("ablation-k-{k}-{noise}");
-            let tel = run_experiment(&cfg);
-            let w = tel.eras() / 3;
-            let conv = tel
-                .convergence_era(1.25)
-                .map_or("never".to_string(), |e| e.to_string());
-            (
-                format!(
-                    "{:>6.2} {:>8.2} {:>10.3} {:>12} {:>12.4}",
-                    k,
-                    noise,
-                    tel.rmttf_spread(w),
-                    conv,
-                    tel.fraction_oscillation(w)
-                ),
-                format!(
-                    "{},{},{:.4},{},{:.5}\n",
-                    k,
-                    noise,
-                    tel.rmttf_spread(w),
-                    conv,
-                    tel.fraction_oscillation(w)
-                ),
-            )
-        })
-        .collect();
+    let rows: Vec<(String, String)> = acm_exec::map_collect(jobs, |(k, noise)| {
+        let mut cfg = ExperimentConfig::three_region_fig4(PolicyKind::Exploration, 2016);
+        cfg.predictor = PredictorChoice::Oracle;
+        cfg.k = k;
+        cfg.exploration_noise = noise;
+        cfg.name = format!("ablation-k-{k}-{noise}");
+        let tel = run_experiment(&cfg);
+        let w = tel.eras() / 3;
+        let conv = tel
+            .convergence_era(1.25)
+            .map_or("never".to_string(), |e| e.to_string());
+        (
+            format!(
+                "{:>6.2} {:>8.2} {:>10.3} {:>12} {:>12.4}",
+                k,
+                noise,
+                tel.rmttf_spread(w),
+                conv,
+                tel.fraction_oscillation(w)
+            ),
+            format!(
+                "{},{},{:.4},{},{:.5}\n",
+                k,
+                noise,
+                tel.rmttf_spread(w),
+                conv,
+                tel.fraction_oscillation(w)
+            ),
+        )
+    });
     for (line, csv_line) in rows {
         println!("{line}");
         csv.push_str(&csv_line);

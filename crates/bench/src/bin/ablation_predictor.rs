@@ -15,7 +15,6 @@ use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
 use acm_ml::model::ModelKind;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -41,37 +40,34 @@ fn main() {
     );
 
     let mut csv = String::from("predictor,spread,convergence_era,proactive,reactive,resp_ms\n");
-    let rows: Vec<(String, String)> = candidates
-        .par_iter()
-        .map(|(name, choice)| {
-            let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2016);
-            cfg.predictor = *choice;
-            cfg.name = format!("ablation-predictor-{name}");
-            let tel = run_experiment(&cfg);
-            let w = tel.eras() / 3;
-            let conv = tel
-                .convergence_era(1.25)
-                .map_or("never".to_string(), |e| e.to_string());
-            (
-                format!(
-                    "{:<10} {:>10.3} {:>12} {:>10} {:>10} {:>10.0}",
-                    name,
-                    tel.rmttf_spread(w),
-                    conv,
-                    tel.total_proactive(),
-                    tel.total_reactive(),
-                    tel.tail_response(w) * 1000.0
-                ),
-                format!(
-                    "{name},{:.4},{conv},{},{},{:.1}\n",
-                    tel.rmttf_spread(w),
-                    tel.total_proactive(),
-                    tel.total_reactive(),
-                    tel.tail_response(w) * 1000.0
-                ),
-            )
-        })
-        .collect();
+    let rows: Vec<(String, String)> = acm_exec::map_collect(candidates, |(name, choice)| {
+        let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2016);
+        cfg.predictor = choice;
+        cfg.name = format!("ablation-predictor-{name}");
+        let tel = run_experiment(&cfg);
+        let w = tel.eras() / 3;
+        let conv = tel
+            .convergence_era(1.25)
+            .map_or("never".to_string(), |e| e.to_string());
+        (
+            format!(
+                "{:<10} {:>10.3} {:>12} {:>10} {:>10} {:>10.0}",
+                name,
+                tel.rmttf_spread(w),
+                conv,
+                tel.total_proactive(),
+                tel.total_reactive(),
+                tel.tail_response(w) * 1000.0
+            ),
+            format!(
+                "{name},{:.4},{conv},{},{},{:.1}\n",
+                tel.rmttf_spread(w),
+                tel.total_proactive(),
+                tel.total_reactive(),
+                tel.tail_response(w) * 1000.0
+            ),
+        )
+    });
     for (line, csv_line) in rows {
         println!("{line}");
         csv.push_str(&csv_line);

@@ -1,10 +1,9 @@
 //! Hot-path throughput report.
 //!
 //! Runs fixed-seed workloads over every layer the hot-path overhaul
-//! touched — the event kernel (new arena queue vs the retained seed
-//! implementation), the discrete-event driver, request dispatch through
-//! `RegionSim`, leader policy steps, REP-Tree training plus
-//! scalar-vs-batched prediction, the observability layer's overhead, the
+//! touched — the arena event queue, the discrete-event driver, request
+//! dispatch through `RegionSim`, leader policy steps, REP-Tree training
+//! plus scalar-vs-batched prediction, the observability layer's overhead, the
 //! execution pool's thread-scaling curve and the model-selection (tuning
 //! grid + k-fold CV) scaling curve — and writes the numbers to
 //! `BENCH_PR4.json` at the repository root.
@@ -64,20 +63,40 @@ fn time_it<F: FnMut()>(reps: u32, samples: usize, mut f: F) -> f64 {
     per_call[per_call.len() / 2]
 }
 
+/// Rounds `v` to `digits` significant digits (zero and non-finite values
+/// pass through). Dividing or multiplying by an exact power of ten keeps
+/// the result the closest double to the rounded decimal, so it prints
+/// without float noise.
+fn round_sig(v: f64, digits: i32) -> f64 {
+    if v == 0.0 || !v.is_finite() {
+        return v;
+    }
+    let shift = digits - 1 - v.abs().log10().floor() as i32;
+    if shift >= 0 {
+        let scale = 10f64.powi(shift);
+        (v * scale).round() / scale
+    } else {
+        let scale = 10f64.powi(-shift);
+        (v / scale).round() * scale
+    }
+}
+
 struct Report {
     entries: Vec<(String, f64)>,
 }
 
 impl Report {
+    /// Records `value`, printed and stored at 4 significant digits.
     fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<44} {value:>16.1}");
+        let value = round_sig(value, 4);
+        println!("{name:<44} {value:>16}");
         self.entries.push((name.to_string(), value));
     }
 
     fn to_json(&self) -> String {
         let mut o = acm_obs::json::JsonObject::new();
         for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
+            o.field_f64(name, *value);
         }
         let mut s = o.finish();
         s.push('\n');
@@ -88,7 +107,7 @@ impl Report {
 /// The seed of `event_queue_push_pop_1k`: schedule 1k, drain.
 fn queue_workloads(report: &mut Report) {
     const N: u64 = 1000;
-    let new_pp = time_it(200, 9, || {
+    let per_run = time_it(200, 9, || {
         let mut rng = SimRng::new(1);
         let mut q = acm_sim::event::EventQueue::new();
         for i in 0..N {
@@ -100,47 +119,14 @@ fn queue_workloads(report: &mut Report) {
         }
         black_box(sum);
     });
-    let legacy_pp = time_it(200, 9, || {
-        let mut rng = SimRng::new(1);
-        let mut q = acm_sim::legacy::EventQueue::new();
-        for i in 0..N {
-            q.schedule(SimTime::from_micros(rng.next_u64() % 1_000_000), i);
-        }
-        let mut sum = 0u64;
-        while let Some((_, v)) = q.pop() {
-            sum += v;
-        }
-        black_box(sum);
-    });
-    report.push("event_queue_push_pop_1k_ops_per_s", N as f64 / new_pp);
-    report.push(
-        "event_queue_push_pop_1k_legacy_ops_per_s",
-        N as f64 / legacy_pp,
-    );
-    report.push("event_queue_push_pop_1k_speedup", legacy_pp / new_pp);
+    report.push("event_queue_push_pop_1k_ops_per_s", N as f64 / per_run);
 
     // Cancellation-heavy churn: schedule 4, cancel 2, pop 1, repeat — the
     // timer-wheel-like pattern the per-request completion events produce.
     const ROUNDS: u64 = 1000;
-    let new_cc = time_it(120, 9, || {
+    let per_run = time_it(120, 9, || {
         let mut rng = SimRng::new(2);
         let mut q = acm_sim::event::EventQueue::new();
-        let mut handles = Vec::with_capacity(4 * ROUNDS as usize);
-        for i in 0..ROUNDS {
-            for k in 0..4u64 {
-                handles
-                    .push(q.schedule(SimTime::from_micros(rng.next_u64() % 1_000_000), i * 4 + k));
-            }
-            let h = handles.len();
-            q.cancel(handles[h - 2]);
-            q.cancel(handles[h - 4]);
-            black_box(q.pop());
-        }
-        while q.pop().is_some() {}
-    });
-    let legacy_cc = time_it(120, 9, || {
-        let mut rng = SimRng::new(2);
-        let mut q = acm_sim::legacy::EventQueue::new();
         let mut handles = Vec::with_capacity(4 * ROUNDS as usize);
         for i in 0..ROUNDS {
             for k in 0..4u64 {
@@ -156,38 +142,8 @@ fn queue_workloads(report: &mut Report) {
     });
     report.push(
         "event_queue_cancel_churn_ops_per_s",
-        (7 * ROUNDS) as f64 / new_cc,
+        (7 * ROUNDS) as f64 / per_run,
     );
-    report.push(
-        "event_queue_cancel_churn_legacy_ops_per_s",
-        (7 * ROUNDS) as f64 / legacy_cc,
-    );
-    report.push("event_queue_cancel_churn_speedup", legacy_cc / new_cc);
-}
-
-/// A verbatim replica of the seed driver loop over the retained seed queue:
-/// boxed `FnOnce` handlers popped in `(time, seq)` order. Only the queue
-/// differs from [`Simulator`], so the ratio isolates the kernel swap.
-type LegacyHandler = Box<dyn FnOnce(&mut LegacySim)>;
-
-struct LegacySim {
-    now: SimTime,
-    queue: acm_sim::legacy::EventQueue<LegacyHandler>,
-    world: u64,
-}
-
-impl LegacySim {
-    fn schedule_in(&mut self, delay: Duration, handler: impl FnOnce(&mut LegacySim) + 'static) {
-        let at = self.now + delay;
-        self.queue.schedule(at, Box::new(handler));
-    }
-
-    fn run_to_completion(&mut self) {
-        while let Some((at, handler)) = self.queue.pop() {
-            self.now = at;
-            handler(self);
-        }
-    }
 }
 
 /// The seed of `simulator_10k_events`: a 10k-deep self-scheduling chain.
@@ -205,28 +161,7 @@ fn simulator_workload(report: &mut Report) {
         sim.run_to_completion(u64::MAX);
         black_box(sim.world);
     });
-    let legacy_per_run = time_it(30, 9, || {
-        let mut sim = LegacySim {
-            now: SimTime::ZERO,
-            queue: acm_sim::legacy::EventQueue::new(),
-            world: 0,
-        };
-        fn chain(s: &mut LegacySim) {
-            s.world += 1;
-            if s.world < 10_000 {
-                s.schedule_in(Duration::from_micros(10), chain);
-            }
-        }
-        sim.schedule_in(Duration::ZERO, chain);
-        sim.run_to_completion();
-        black_box(sim.world);
-    });
     report.push("simulator_10k_events_per_s", N as f64 / per_run);
-    report.push(
-        "simulator_10k_events_legacy_per_s",
-        N as f64 / legacy_per_run,
-    );
-    report.push("simulator_10k_events_speedup", legacy_per_run / per_run);
 }
 
 /// Request dispatch through the event-grain region: serve with periodic
@@ -530,7 +465,7 @@ fn obs_overhead_workload(report: &mut Report) -> (f64, f64) {
 }
 
 /// Wall-clock of the Figure-3 experiment (the workload the acceptance
-/// criterion tracks end to end).
+/// check tracks end to end).
 fn fig3_workload(report: &mut Report) {
     let cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 42);
     let per_run = time_it(3, 5, || {
@@ -615,5 +550,23 @@ fn main() {
     match std::fs::write("BENCH_PR4.json", &json) {
         Ok(()) => println!("\nwrote BENCH_PR4.json"),
         Err(e) => eprintln!("\nwarning: cannot write BENCH_PR4.json: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::round_sig;
+
+    #[test]
+    fn values_keep_four_significant_digits() {
+        assert_eq!(round_sig(0.012, 4), 0.012);
+        assert_eq!(round_sig(0.012_345_6, 4), 0.01235);
+        assert_eq!(round_sig(1.24, 4), 1.24);
+        assert_eq!(round_sig(1.236_78, 4), 1.237);
+        assert_eq!(round_sig(3.7e7, 4), 3.7e7);
+        assert_eq!(round_sig(37_123_456.0, 4), 3.712e7);
+        assert_eq!(format!("{}", round_sig(0.012_345_6, 4)), "0.01235");
+        assert_eq!(format!("{}", round_sig(37_123_456.0, 4)), "37120000");
+        assert_eq!(round_sig(0.0, 4), 0.0);
     }
 }

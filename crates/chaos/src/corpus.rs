@@ -2,7 +2,7 @@
 //!
 //! Every violation a campaign finds is shrunk to a minimal plan and
 //! serialized as one JSON document (written with the obs JSON writer,
-//! read back with its parser — no external serde). Entries live under
+//! read back with its parser). Entries live under
 //! `crates/chaos/corpus/` and are replayed by tier-1 as regression
 //! tests with failing-then-fixed semantics: with the entry's (test-only)
 //! injection the expected invariant must still fire; without it the run
@@ -33,7 +33,7 @@ pub struct CorpusEntry {
 }
 
 impl CorpusEntry {
-    /// Serializes the entry as one JSON document.
+    /// Writes the entry as one JSON document.
     pub fn to_json(&self) -> String {
         let mut inj = JsonObject::new();
         match self.injection {

@@ -11,10 +11,9 @@
 use acm_sim::series::{SeriesTable, TimeSeries};
 use acm_sim::stats::OnlineStats;
 use acm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Everything one region reported in one era.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionEraRecord {
     /// Leader-side (EWMA) RMTTF estimate, seconds.
     pub rmttf: f64,
@@ -33,7 +32,7 @@ pub struct RegionEraRecord {
 }
 
 /// Full telemetry of one experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentTelemetry {
     region_names: Vec<String>,
     /// Per-region series, index-aligned with `region_names`.

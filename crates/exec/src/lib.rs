@@ -1,8 +1,8 @@
 //! # acm-exec — deterministic data-parallel execution
 //!
 //! A std-only (threads + atomics + mutex/condvar, zero dependencies)
-//! work-stealing thread pool powering every `par_iter` call site in the
-//! workspace through the vendored `rayon` facade.
+//! work-stealing thread pool behind every parallel fan-out in the
+//! workspace (callers use [`map_collect`] and friends directly).
 //!
 //! ## Design
 //!
@@ -884,16 +884,25 @@ impl<T: Send + 'static> JobHandle<T> {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under
+        // that lock right before waiting, so an unlocked store could
+        // land between its check and its wait, and the notify below
+        // would be lost (the worker sleeps forever, the join hangs).
+        {
+            let _q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
-        let mut workers = self
-            .workers
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect::<Vec<_>>();
+        let workers = self.workers.get_mut().unwrap_or_else(|e| e.into_inner());
+        // The last `Arc` of a swapped-out global pool can be released by
+        // a job running on one of that pool's own workers; a thread cannot
+        // join itself, so that worker is detached instead and exits on its
+        // own once the queue is drained.
+        let me = thread::current().id();
         for h in workers.drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -944,8 +953,8 @@ impl ClaimableTask {
 /// stack frame (`'scope`) and are guaranteed complete before
 /// [`ThreadPool::scope`] returns.
 ///
-/// Unlike real rayon, task closures take no `&Scope` argument, so a task
-/// cannot spawn siblings — none of this workspace's workloads need that.
+/// Task closures take no `&Scope` argument, so a task cannot spawn
+/// siblings — none of this workspace's workloads need that.
 pub struct Scope<'scope, 'pool> {
     pool: &'pool ThreadPool,
     tasks: Mutex<Vec<Arc<ClaimableTask>>>,
@@ -1125,6 +1134,19 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by every test that resizes the process-wide pool: the test
+    /// harness runs tests on parallel threads, and one test's resize
+    /// would otherwise land between another's `configure_threads` and
+    /// its `current_threads` check.
+    static GLOBAL_POOL: Mutex<()> = Mutex::new(());
+
+    /// Holds [`GLOBAL_POOL`]; a panicking holder poisons the mutex but
+    /// leaves nothing to repair, so the guard is recovered.
+    fn global_pool_lock() -> MutexGuard<'static, ()> {
+        GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn map_collect_matches_sequential_across_shapes() {
@@ -1137,6 +1159,26 @@ mod tests {
                 assert_eq!(got, expect, "threads={threads} n={n}");
             }
         }
+    }
+
+    #[test]
+    fn dropping_a_fresh_pool_always_joins_its_workers() {
+        // Regression: the shutdown flag was stored outside the queue lock,
+        // so a worker between its flag check and its condvar wait missed
+        // the wake-up and the drop's join hung. Freshly spawned workers
+        // are exactly in that window. The drops run on a helper thread so
+        // a hang fails the test instead of stalling the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        let dropper = thread::spawn(move || {
+            for _ in 0..2_000 {
+                drop(ThreadPool::new(4));
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("dropping a pool hung: a worker missed the shutdown wake-up");
+        dropper.join().expect("pool drops do not panic");
     }
 
     #[test]
@@ -1399,8 +1441,9 @@ mod tests {
         // Regression: the swap used to drop the old pool (joining its
         // workers) while still holding the global cell's write lock. A
         // background job draining on one of those workers that touched
-        // `global()` — as every nested map/scope through the facade does —
+        // `global()` — as every nested map/scope on the global pool does —
         // blocked on the read lock, and the join never returned.
+        let _lock = global_pool_lock();
         configure_threads(2);
         let started = Arc::new(Latch::new(1));
         let seen = Arc::clone(&started);
@@ -1422,6 +1465,7 @@ mod tests {
 
     #[test]
     fn configure_threads_swaps_the_global_pool() {
+        let _lock = global_pool_lock();
         let n = configure_threads(3);
         assert_eq!(n, 3);
         assert_eq!(current_threads(), 3);

@@ -10,7 +10,6 @@
 use crate::dataset::Dataset;
 use crate::linalg::dot;
 use crate::scaler::StandardScaler;
-use serde::{Deserialize, Serialize};
 
 /// Convergence tolerance on the max coordinate change (standardised scale).
 const TOL: f64 = 1e-7;
@@ -18,7 +17,7 @@ const TOL: f64 = 1e-7;
 const MAX_SWEEPS: usize = 10_000;
 
 /// A trained Lasso model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LassoRegression {
     /// Weights in the original feature space.
     weights: Vec<f64>,

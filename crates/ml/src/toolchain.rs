@@ -9,7 +9,7 @@
 //! 1. fit a Lasso on the full feature set and keep the features whose
 //!    standardised weight passes a threshold,
 //! 2. train every family in the menu on the projected training split
-//!    (in parallel via rayon — the families are independent),
+//!    (in parallel on the exec pool — the families are independent),
 //! 3. score each on the holdout and rank by RMSE,
 //! 4. return the winner wrapped as an [`RttfPredictor`] that accepts the
 //!    *full* feature vector at runtime and projects internally.
@@ -21,11 +21,9 @@ use crate::model::{AnyModel, ModelKind, Regressor};
 use crate::validate::evaluate;
 use acm_obs::{Obs, Timer};
 use acm_sim::rng::SimRng;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Toolchain configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct F2pmToolchain {
     /// Fraction of the database used for training (rest is holdout).
     pub train_frac: f64,
@@ -50,7 +48,7 @@ impl Default for F2pmToolchain {
 }
 
 /// Outcome of one model family in the toolchain run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelOutcome {
     /// Family.
     pub kind: ModelKind,
@@ -59,7 +57,7 @@ pub struct ModelOutcome {
 }
 
 /// Report of a toolchain run: the Lasso selection plus the ranked menu.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct F2pmReport {
     /// Indices (into the full feature vector) of the selected features.
     pub selected_features: Vec<usize>,
@@ -111,7 +109,7 @@ impl F2pmReport {
 /// A deployable RTTF predictor: the winning model plus the feature
 /// projection chosen by Lasso. Predictions are clamped to be non-negative —
 /// a remaining time to failure below zero is meaningless to the controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttfPredictor {
     model: AnyModel,
     selected: Vec<usize>,
@@ -239,9 +237,8 @@ impl F2pmToolchain {
                 (kind, rng.split(), timer)
             })
             .collect();
-        let mut results: Vec<(AnyModel, ModelOutcome)> = jobs
-            .into_par_iter()
-            .map(|(kind, mut model_rng, fit_timer)| {
+        let mut results: Vec<(AnyModel, ModelOutcome)> =
+            acm_exec::map_collect(jobs, |(kind, mut model_rng, fit_timer)| {
                 let model = {
                     let _fit = fit_timer.start();
                     kind.fit(&train, &mut model_rng)
@@ -251,8 +248,7 @@ impl F2pmToolchain {
                     evaluate(&model, &holdout)
                 };
                 (model, ModelOutcome { kind, metrics })
-            })
-            .collect();
+            });
 
         // 4. Rank by holdout RMSE.
         results.sort_by(|a, b| {

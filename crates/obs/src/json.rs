@@ -1,8 +1,7 @@
 //! Minimal hand-rolled JSON writer and reader.
 //!
-//! The workspace's vendored `serde` is marker-traits only (its derive
-//! expands to nothing), so every exporter in the repo writes JSON by
-//! hand. This module centralises the things they all need —
+//! The workspace has no serialization framework, so every exporter in
+//! the repo writes JSON by hand. This module centralises the things they all need —
 //! string escaping, deterministic `f64` formatting, and an object
 //! builder — so the event log, `ExperimentTelemetry::to_jsonl` and the
 //! bench binaries share one implementation.

@@ -15,7 +15,7 @@
 //!   STANDBY activations, leader changes, plan installs, EWMA updates)
 //!   with a JSONL exporter;
 //! * [`json`] — the tiny hand-rolled JSON writer the event log and the
-//!   bench/telemetry exporters share (the vendored `serde` is marker-only).
+//!   bench/telemetry exporters share.
 //!
 //! Everything hangs off an [`Obs`] handle created from an [`ObsConfig`].
 //! The default configuration is **on-but-cheap**: metrics are relaxed

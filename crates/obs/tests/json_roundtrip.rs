@@ -1,8 +1,7 @@
 //! Property test: every `EventRecord::to_json` line is valid JSON and
 //! string payloads survive the escape/parse round trip.
 //!
-//! The workspace writes all of its JSON by hand (the vendored serde is
-//! marker-only), so nothing but these tests stands between a control
+//! The workspace writes all of its JSON by hand, so nothing but these tests stands between a control
 //! character in a region name and a corrupt JSONL decision log. The
 //! validator below is an intentionally minimal recursive-descent JSON
 //! parser — independent of `acm_obs::json`, so a shared bug cannot

@@ -8,11 +8,10 @@
 
 use crate::graph::{NodeId, OverlayGraph};
 use acm_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// A computed route.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Node sequence, source first, destination last.
     pub path: Vec<NodeId>,

@@ -13,10 +13,9 @@ use acm_sim::rng::SimRng;
 use acm_sim::time::SimTime;
 use acm_vm::service::RequestOutcome;
 use acm_vm::VmState;
-use serde::{Deserialize, Serialize};
 
 /// Lifetime counters of an event-driven region.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionSimStats {
     /// Requests served to completion — counted when the in-flight slot is
     /// released ([`RegionSim::finish`]), so `completed + dropped` stays

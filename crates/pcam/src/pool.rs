@@ -10,13 +10,12 @@ use acm_sim::rng::SimRng;
 use acm_sim::time::SimTime;
 use acm_vm::service::RequestOutcome;
 use acm_vm::{AnomalyConfig, FailureSpec, Vm, VmFlavor, VmId, VmState};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel for "id not present" in the id → slot index.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Pool statistics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolCounts {
     /// Serving VMs.
     pub active: usize,
@@ -36,7 +35,7 @@ impl PoolCounts {
 }
 
 /// A region's VM pool.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VmPool {
     vms: Vec<Vm>,
     target_active: usize,

@@ -9,8 +9,8 @@
 //! bumping its generation, and the orphaned heap entry is skipped lazily on
 //! pop. No hashing happens anywhere on the schedule/cancel/pop path — the
 //! seed implementation's two per-operation `HashSet`s are replaced by direct
-//! slot indexing (the seed code survives as [`crate::legacy::EventQueue`]
-//! for differential tests and benchmark baselines).
+//! slot indexing (the seed code survives in the sim crate's tests as the
+//! reference model for a differential property test).
 //!
 //! The 4-ary layout halves the tree depth of a binary heap, and the heap is
 //! stored struct-of-arrays with `(time, seq)` packed into one 16-byte

@@ -8,10 +8,8 @@
 //!   used for response-time percentiles without storing samples.
 //! * [`Histogram`] — fixed-width binning for distribution dumps.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford single-pass mean/variance accumulator with min/max tracking.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -126,7 +124,7 @@ impl OnlineStats {
 /// Keeps five markers; after five initial samples the estimate tracks the
 /// target quantile with O(1) space. Accuracy is adequate for reporting
 /// p50/p95/p99 response times in the figure harness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     q: f64,
     /// Marker heights.
@@ -249,7 +247,7 @@ impl P2Quantile {
 }
 
 /// Fixed-width histogram over `[lo, hi)` with saturating under/overflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -1,13 +1,11 @@
-//! The seed repository's event-queue implementation, retained verbatim as a
-//! baseline: `std::collections::BinaryHeap` plus two per-operation
-//! `HashSet`s. The production queue ([`crate::event::EventQueue`]) replaced
-//! it with an implicit 4-ary heap over a generation-tagged slot arena; this
-//! copy exists so that (a) differential property tests can pit the two
-//! implementations against each other on random workloads, and (b) the
-//! `perf_report` benchmark can quantify the speedup against the exact seed
-//! code rather than a reconstruction. Not part of the public simulation API.
+//! The seed repository's event-queue implementation, kept as a test-only
+//! reference model: `std::collections::BinaryHeap` plus two per-operation
+//! `HashSet`s. The production queue (`acm_sim::event::EventQueue`) replaced
+//! it with an implicit 4-ary heap over a generation-tagged slot arena; the
+//! differential property test in `properties.rs` pits the two against each
+//! other on random workloads.
 
-use crate::time::SimTime;
+use acm_sim::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -120,11 +118,6 @@ impl<T> EventQueue<T> {
     /// Number of live (not cancelled) pending events.
     pub fn len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 
     /// Discards all pending events.

@@ -1,5 +1,7 @@
 //! Property-based tests for the simulation kernel.
 
+mod legacy;
+
 use acm_sim::event::EventQueue;
 use acm_sim::rng::SimRng;
 use acm_sim::stats::{Histogram, OnlineStats, P2Quantile};
@@ -272,8 +274,8 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
         let mut arena = EventQueue::new();
-        let mut seed = acm_sim::legacy::EventQueue::new();
-        let mut handles: Vec<(acm_sim::EventId, acm_sim::legacy::EventId)> = Vec::new();
+        let mut seed = legacy::EventQueue::new();
+        let mut handles: Vec<(acm_sim::EventId, legacy::EventId)> = Vec::new();
         let mut payload = 0u64;
         for op in ops {
             match op {

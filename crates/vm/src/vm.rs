@@ -14,10 +14,9 @@ use crate::flavor::VmFlavor;
 use crate::service::{self, EraOutcome, RequestOutcome};
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a VM, unique within a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub u32);
 
 impl std::fmt::Display for VmId {
@@ -27,7 +26,7 @@ impl std::fmt::Display for VmId {
 }
 
 /// Lifecycle state of a VM replica.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VmState {
     /// Serving requests.
     Active,
@@ -49,7 +48,7 @@ pub enum VmState {
 }
 
 /// A simulated server-replica VM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vm {
     id: VmId,
     flavor: VmFlavor,

@@ -11,10 +11,9 @@ use crate::mix::{InteractionClass, TpcwMix};
 use crate::THINK_TIME_MEAN_S;
 use acm_sim::rng::SimRng;
 use acm_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle of one emulated browser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BrowserPhase {
     /// Waiting out the think time before the next request.
     Thinking,
@@ -23,7 +22,7 @@ pub enum BrowserPhase {
 }
 
 /// One closed-loop emulated browser.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EmulatedBrowser {
     id: u32,
     mix: TpcwMix,

@@ -8,10 +8,9 @@
 //! expose the mixes as sampling distributions.
 
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A representative TPC-W interaction class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InteractionClass {
     /// Home page / product detail (cheap, cacheable).
     Browse,
@@ -56,7 +55,7 @@ impl InteractionClass {
 }
 
 /// One of the three canonical TPC-W mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TpcwMix {
     /// 95 % browse / 5 % order.
     Browsing,

@@ -11,13 +11,12 @@
 
 use crate::mix::{InteractionClass, TpcwMix};
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Mean number of interactions per session (geometric continuation).
 pub const MEAN_SESSION_LENGTH: f64 = 20.0;
 
 /// A user session walking the interaction chain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Session {
     mix: TpcwMix,
     state: InteractionClass,

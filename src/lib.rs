@@ -19,7 +19,7 @@
 //!
 //! * [`sim`] — deterministic discrete-event kernel,
 //! * [`exec`] — std-only work-stealing thread pool with deterministic
-//!   index-ordered collect (the engine behind every `par_iter` call site;
+//!   index-ordered collect (the engine behind every parallel fan-out;
 //!   sized by `ACM_THREADS` or [`exec::configure_threads`]),
 //! * [`vm`] — VM / anomaly / failure-point substrate,
 //! * [`ml`] — the F2PM model toolchain (OLS, Ridge, Lasso, REP-Tree, M5P,
