@@ -4,8 +4,9 @@
 //! touched — the arena event queue, the discrete-event driver, request
 //! dispatch through `RegionSim`, leader policy steps, REP-Tree training
 //! plus scalar-vs-batched prediction, the observability layer's overhead, the
-//! execution pool's thread-scaling curve and the model-selection (tuning
-//! grid + k-fold CV) scaling curve — and writes the numbers to
+//! execution pool's thread-scaling curve, the model-selection (tuning
+//! grid + k-fold CV) scaling curve and all-pairs overlay latency on the
+//! 200-controller star — and writes the numbers to
 //! `BENCH_PR4.json` at the repository root.
 //!
 //! ```text
@@ -34,6 +35,7 @@ use acm_core::framework::run_experiment;
 use acm_core::policy::{uniform_fractions, LoadBalancingPolicy, PolicyKind};
 use acm_ml::model::{AnyModel, ModelKind};
 use acm_obs::{Obs, ObsConfig, ObsHandle};
+use acm_overlay::{NodeId, OverlayGraph, Transport};
 use acm_pcam::events::RegionSim;
 use acm_pcam::training::{collect_database, CollectionConfig};
 use acm_pcam::vmc::{RegionConfig, RttfSource};
@@ -464,6 +466,39 @@ fn obs_overhead_workload(report: &mut Report) -> (f64, f64) {
     (noop_pct, enabled_pct)
 }
 
+/// All 39,800 ordered pairs of `Transport::latency` on the star overlay of
+/// the 200-region mega-world deployment (hub 0, the same link latencies):
+/// `cold` right after a failure-state change has dropped every route, then
+/// `warm` with the routes in place. This is the leader's per-era pricing of
+/// client→server forwards at that scale.
+fn overlay_workload(report: &mut Report) {
+    const N: u32 = 200;
+    let mut star = OverlayGraph::new();
+    for j in 1..N {
+        star.add_link(
+            NodeId(0),
+            NodeId(j),
+            Duration::from_millis(8 + (u64::from(j) * 7) % 40),
+        );
+    }
+    fn all_pairs(t: &mut Transport) {
+        for a in 0..N {
+            for b in (0..N).filter(|&b| b != a) {
+                black_box(t.latency(NodeId(a), NodeId(b)));
+            }
+        }
+    }
+    let mut t = Transport::new(star);
+    let cold = time_it(2, 5, || {
+        t.fail_link(NodeId(0), NodeId(N - 1));
+        t.recover_link(NodeId(0), NodeId(N - 1));
+        all_pairs(&mut t);
+    });
+    let warm = time_it(5, 5, || all_pairs(&mut t));
+    report.push("overlay_all_pairs_cold_ms", cold * 1e3);
+    report.push("overlay_all_pairs_warm_ms", warm * 1e3);
+}
+
 /// Wall-clock of the Figure-3 experiment (the workload the acceptance
 /// check tracks end to end).
 fn fig3_workload(report: &mut Report) {
@@ -544,6 +579,7 @@ fn main() {
     obs_overhead_workload(&mut report);
     scaling_workload(&mut report);
     cv_scaling_workload(&mut report);
+    overlay_workload(&mut report);
     fig3_workload(&mut report);
 
     let json = report.to_json();

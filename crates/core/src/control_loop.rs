@@ -467,18 +467,15 @@ impl ControlLoop {
         }
         self.recoveries_due = still_due;
 
-        // Chaos plan replay: KillLeader resolves against the pre-fault
-        // leader, so take the layer out before mutating the transport.
-        if let Some(mut chaos) = self.chaos.take() {
-            let leader = self.leader_node();
-            if chaos.apply_due(now, &mut self.transport, leader) {
+        // Chaos plan replay.
+        if let Some(chaos) = &mut self.chaos {
+            if chaos.apply_due(now, &mut self.transport) {
                 changed = true;
             }
             // The newest chaos root (if any) becomes the era's fault
             // context. It persists across eras on purpose: an unhealed
             // partition keeps causing losses long after it opened.
             self.trace_fault_ctx = chaos.last_trace_ctx().or(self.trace_fault_ctx);
-            self.chaos = Some(chaos);
         }
 
         if changed {

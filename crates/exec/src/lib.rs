@@ -44,7 +44,7 @@
 //! Every pool keeps relaxed-atomic activity counters — parallel/sequential
 //! maps, items, chunk pops, steals, submitted and caller-inlined helper
 //! jobs, peak queue depth, and per-participant busy time around
-//! `map_collect` participation. [`ThreadPool::stats`] returns a
+//! `map_collect` participation and scope tasks. [`ThreadPool::stats`] returns a
 //! [`PoolStatsSnapshot`]; [`PoolStatsSnapshot::delta_since`] subtracts a
 //! baseline so callers can attribute activity to one phase of a run. The
 //! counters live off the CAS hot path (one flush per participant per map)
@@ -54,7 +54,7 @@
 #![warn(rust_2018_idioms)]
 
 use std::any::Any;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::mem::{self, ManuallyDrop, MaybeUninit};
 use std::panic::{self, AssertUnwindSafe};
@@ -210,6 +210,12 @@ struct PoolStats {
     workers: Box<[WorkerStat]>,
 }
 
+thread_local! {
+    /// `(pool stats address, participant index)` of the pool worker
+    /// running on this thread; `(0, 0)` on every other thread.
+    static PARTICIPANT: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
 impl PoolStats {
     fn new(threads: usize) -> Arc<Self> {
         Arc::new(PoolStats {
@@ -223,6 +229,26 @@ impl PoolStats {
             queue_depth_peak: AtomicU64::new(0),
             workers: (0..threads).map(|_| WorkerStat::default()).collect(),
         })
+    }
+
+    /// Adds one span of busy time, started at `started`, to `participant`.
+    fn record_busy(&self, participant: usize, started: Instant) {
+        if let Some(w) = self.workers.get(participant) {
+            w.busy_ns
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            w.spans.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The current thread's participant index in this pool: its worker
+    /// slot on one of the pool's own workers, 0 (the caller) anywhere else.
+    fn current_participant(&self) -> usize {
+        let (pool, i) = PARTICIPANT.get();
+        if pool == self as *const PoolStats as usize {
+            i
+        } else {
+            0
+        }
     }
 
     fn snapshot(&self, threads: usize) -> PoolStatsSnapshot {
@@ -278,9 +304,12 @@ pub struct PoolStatsSnapshot {
     /// Deepest the shared job queue has ever been at submit time.
     pub queue_depth_peak: u64,
     /// Per-participant wall-clock nanoseconds spent inside `map_collect`
-    /// participation (index 0 is the calling thread).
+    /// participation and running scope tasks (so `for_each_mut` items
+    /// too). Index 0 is the calling thread; a scope task counts for the
+    /// thread that ran it.
     pub worker_busy_ns: Vec<u64>,
-    /// Per-participant count of `map_collect` participations.
+    /// Per-participant count of `map_collect` participations and scope
+    /// tasks run.
     pub worker_spans: Vec<u64>,
 }
 
@@ -410,11 +439,7 @@ where
             }
             Err(payload) => self.record_panic(payload),
         }
-        if let Some(w) = self.stats.workers.get(me) {
-            w.busy_ns
-                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            w.spans.fetch_add(1, Ordering::Relaxed);
-        }
+        self.stats.record_busy(me, started);
     }
 }
 
@@ -428,7 +453,8 @@ struct PoolShared {
     shutdown: AtomicBool,
 }
 
-fn worker_loop(shared: Arc<PoolShared>) {
+fn worker_loop(shared: Arc<PoolShared>, stats: usize, participant: usize) {
+    PARTICIPANT.set((stats, participant));
     loop {
         let job = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -477,12 +503,14 @@ impl ThreadPool {
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
+        let stats = PoolStats::new(threads);
+        let stats_addr = Arc::as_ptr(&stats) as usize;
         let workers = (1..threads)
             .map(|i| {
                 let s = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("acm-exec-{i}"))
-                    .spawn(move || worker_loop(s))
+                    .spawn(move || worker_loop(s, stats_addr, i))
                     .expect("spawn acm-exec worker")
             })
             .collect();
@@ -490,7 +518,7 @@ impl ThreadPool {
             shared,
             threads,
             workers: Mutex::new(workers),
-            stats: PoolStats::new(threads),
+            stats,
         }
     }
 
@@ -972,7 +1000,14 @@ impl<'scope, 'pool> Scope<'scope, 'pool> {
             f();
             return;
         }
-        let body: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
+        let stats = Arc::clone(&self.pool.stats);
+        let body: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+            let _busy = BusySpan {
+                stats: &stats,
+                started: Instant::now(),
+            };
+            f();
+        });
         // SAFETY: the scope barrier keeps `'scope` borrows alive until
         // every task has run; a post-scope queue entry loses its claim and
         // never touches the body.
@@ -984,6 +1019,20 @@ impl<'scope, 'pool> Scope<'scope, 'pool> {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(task);
+    }
+}
+
+/// Adds the time from its creation to its drop, unwinding included, to
+/// the busy counter of the thread that drops it.
+struct BusySpan<'a> {
+    stats: &'a PoolStats,
+    started: Instant,
+}
+
+impl Drop for BusySpan<'_> {
+    fn drop(&mut self) {
+        self.stats
+            .record_busy(self.stats.current_participant(), self.started);
     }
 }
 
@@ -1340,6 +1389,25 @@ mod tests {
             "the caller always participates"
         );
         assert!(d.total_busy_ns() >= d.worker_busy_ns[0]);
+    }
+
+    #[test]
+    fn stats_count_for_each_mut_tasks_as_busy_time() {
+        let pool = ThreadPool::new(2);
+        let before = pool.stats();
+        let mut items = [0u64; 2];
+        pool.for_each_mut(&mut items, |i, x| {
+            thread::sleep(std::time::Duration::from_millis(2));
+            *x = i as u64 + 1;
+        });
+        assert_eq!(items, [1, 2]);
+        let d = pool.stats().delta_since(&before);
+        assert!(
+            d.total_busy_ns() >= 4_000_000,
+            "both tasks count: {:?}",
+            d.worker_busy_ns
+        );
+        assert_eq!(d.worker_spans.iter().sum::<u64>(), 2, "one span per task");
     }
 
     #[test]

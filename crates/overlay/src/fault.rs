@@ -16,7 +16,7 @@
 //! event (`chaos.link.fail`, `chaos.partition`, …) stamped with its
 //! scheduled sim time, so event logs stay seed-deterministic too.
 
-use crate::graph::{LinkId, NodeId};
+use crate::graph::{LinkId, NodeId, OverlayGraph};
 use crate::transport::Transport;
 use acm_obs::{Counter, Hist, Obs, ObsHandle, TraceContext, Value};
 use acm_sim::rng::SimRng;
@@ -39,8 +39,11 @@ pub enum FaultAction {
     Partition(Vec<NodeId>),
     /// Undo the open partition with the same `group`.
     Heal(Vec<NodeId>),
-    /// Crash whichever node is the leader when the fault fires (resolved
-    /// at apply time, so it composes with earlier kills and elections).
+    /// Crash the leader: the node the loop follows going into the fault
+    /// batch (by the min-id election rule, the lowest alive node). If an
+    /// earlier fault in the same batch already took it down, the victim
+    /// is resolved at apply time instead, as the node that leads now (the
+    /// lowest node alive at that moment), so the kill always lands.
     KillLeader,
 }
 
@@ -215,8 +218,10 @@ impl FaultPlan {
     /// no zero-length flap or crash windows (the fault and its recovery at
     /// the same instant replay as a silent no-op), no heal of a partition
     /// that was never cut (or cut only later), and no duplicate leader
-    /// kills at the same instant ([`ChaosLayer::apply_due`] resolves the
-    /// leader once per batch, so the second kill hits a corpse).
+    /// kills at the same instant (both land in one
+    /// [`ChaosLayer::apply_due`] batch, so the second kill fires before
+    /// the loop re-elects and the leader the first kill made is never
+    /// observed).
     ///
     /// A fuzzer can synthesize all of these at the window boundaries;
     /// rejecting them here keeps "plan replayed" meaning "plan happened".
@@ -226,8 +231,8 @@ impl FaultPlan {
 
     /// [`FaultPlan::validate`] with the control-era length known: two
     /// leader kills inside the *same era* are rejected (both land in one
-    /// [`ChaosLayer::apply_due`] batch at the next era boundary and
-    /// resolve to the same victim). `era == 0` falls back to the
+    /// [`ChaosLayer::apply_due`] batch at the next era boundary, before
+    /// the loop re-elects). `era == 0` falls back to the
     /// same-instant check only.
     pub fn validate_in_era(&self, node_bound: u32, era: Duration) -> Result<(), String> {
         let check = |n: NodeId| -> Result<(), String> {
@@ -339,7 +344,7 @@ impl FaultPlan {
                         if same_batch {
                             return Err(format!(
                                 "duplicate leader kill at {}us: both land in one era batch \
-                                 and resolve to the same victim",
+                                 before the loop re-elects",
                                 ev.at.as_micros()
                             ));
                         }
@@ -746,10 +751,12 @@ impl ChaosLayer {
         self.open_partitions.len()
     }
 
-    /// Applies every scheduled fault with `at <= now` to the transport.
-    /// `leader` resolves [`FaultAction::KillLeader`]. Returns `true` when
-    /// the topology changed (caller should re-elect).
-    pub fn apply_due(&mut self, now: SimTime, transport: &mut Transport, leader: NodeId) -> bool {
+    /// Applies every scheduled fault with `at <= now` to the transport, in
+    /// schedule order. Returns `true` when the topology changed (caller
+    /// should re-elect).
+    pub fn apply_due(&mut self, now: SimTime, transport: &mut Transport) -> bool {
+        // The leader the loop follows going into the batch.
+        let leader = lowest_alive(transport.graph());
         let mut changed = false;
         while self.next < self.schedule.len() && self.schedule[self.next].at <= now {
             let ev = self.schedule[self.next].clone();
@@ -781,8 +788,16 @@ impl ChaosLayer {
                 self.emit_node_fault(t_us, "chaos.node.recover", *n, None);
             }
             FaultAction::KillLeader => {
-                transport.fail_node(leader);
-                self.emit_node_fault(t_us, "chaos.leader.kill", leader, None);
+                // An earlier fault in this batch may have taken the leader
+                // down already; the kill then hits the node that leads now.
+                let g = transport.graph();
+                let victim = if g.is_alive(leader) {
+                    leader
+                } else {
+                    lowest_alive(g)
+                };
+                transport.fail_node(victim);
+                self.emit_node_fault(t_us, "chaos.leader.kill", victim, None);
             }
             FaultAction::Partition(group) => {
                 let cut = self.cut_links(transport, group);
@@ -908,6 +923,13 @@ impl ChaosLayer {
     }
 }
 
+/// The leader of the lowest alive node, which by the min-id election rule
+/// is that node itself; node 0 when every node is down (a kill is then a
+/// no-op).
+fn lowest_alive(g: &OverlayGraph) -> NodeId {
+    g.nodes().find(|&n| g.is_alive(n)).unwrap_or(NodeId(0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,13 +972,13 @@ mod tests {
         let mut tr = transport();
         let before = all_pairs(&mut tr);
 
-        assert!(layer.apply_due(t(10), &mut tr, n(0)));
+        assert!(layer.apply_due(t(10), &mut tr));
         assert_eq!(layer.open_partitions(), 1);
         assert_eq!(tr.latency(n(0), n(2)), None);
         assert_eq!(tr.latency(n(2), n(1)), None);
         assert_eq!(tr.latency(n(0), n(1)), Some(ms(30)), "intra side unhurt");
 
-        assert!(layer.apply_due(t(50), &mut tr, n(0)));
+        assert!(layer.apply_due(t(50), &mut tr));
         assert_eq!(layer.open_partitions(), 0);
         assert_eq!(all_pairs(&mut tr), before, "heal restores everything");
     }
@@ -976,20 +998,41 @@ mod tests {
         );
         let mut layer = ChaosLayer::new(&plan);
         let mut tr = transport();
-        layer.apply_due(t(50), &mut tr, n(0));
+        layer.apply_due(t(50), &mut tr);
         assert_eq!(tr.latency(n(0), n(2)), Some(ms(50)), "via 1 only");
         assert!(tr.graph().link_failed(n(0), n(2)));
     }
 
     #[test]
     fn kill_leader_resolves_at_apply_time() {
-        let plan = FaultPlan::scripted(1, Vec::new()).kill_leader_at(t(30));
+        // The leader (node 0) crashes earlier in the same batch, so the
+        // kill hits node 1, the node that leads now.
+        let plan = FaultPlan::scripted(1, Vec::new())
+            .crash_window(n(0), t(10), t(50))
+            .kill_leader_at(t(30));
         let mut layer = ChaosLayer::new(&plan);
         let mut tr = transport();
-        assert!(!layer.apply_due(t(29), &mut tr, n(0)), "not due yet");
-        assert!(layer.apply_due(t(31), &mut tr, n(1)));
+        assert!(!layer.apply_due(t(9), &mut tr), "not due yet");
+        assert!(layer.apply_due(t(31), &mut tr));
+        assert!(!tr.graph().is_alive(n(0)));
         assert!(!tr.graph().is_alive(n(1)));
+        assert!(tr.graph().is_alive(n(2)));
+    }
+
+    #[test]
+    fn kill_leader_spares_a_node_that_recovers_in_the_same_batch() {
+        // Node 0 is down going into the batch, so node 1 leads. Node 0
+        // recovers before the kill, but the loop has not re-elected yet:
+        // the kill still hits node 1.
+        let plan = FaultPlan::scripted(1, Vec::new())
+            .crash_window(n(0), t(10), t(40))
+            .kill_leader_at(t(45));
+        let mut layer = ChaosLayer::new(&plan);
+        let mut tr = transport();
+        assert!(layer.apply_due(t(30), &mut tr));
+        assert!(layer.apply_due(t(60), &mut tr));
         assert!(tr.graph().is_alive(n(0)));
+        assert!(!tr.graph().is_alive(n(1)));
     }
 
     #[test]
@@ -999,16 +1042,16 @@ mod tests {
             .crash_window(n(2), t(10), t(30));
         let mut layer = ChaosLayer::new(&plan);
         let mut tr = transport();
-        layer.apply_due(t(15), &mut tr, n(0));
+        layer.apply_due(t(15), &mut tr);
         assert!(!tr.graph().is_alive(n(2)));
         assert!(tr.graph().link_usable(n(0), n(1)));
-        layer.apply_due(t(25), &mut tr, n(0));
+        layer.apply_due(t(25), &mut tr);
         assert!(!tr.graph().link_usable(n(0), n(1)));
-        layer.apply_due(t(100), &mut tr, n(0));
+        layer.apply_due(t(100), &mut tr);
         assert!(tr.graph().is_alive(n(2)));
         assert!(tr.graph().link_usable(n(0), n(1)));
         assert_eq!(layer.pending(), 0);
-        assert!(!layer.apply_due(SimTime::MAX, &mut tr, n(0)));
+        assert!(!layer.apply_due(SimTime::MAX, &mut tr));
     }
 
     #[test]
@@ -1121,7 +1164,7 @@ mod tests {
         let mut layer = ChaosLayer::new(&plan);
         layer.set_obs(&obs);
         let mut tr = transport();
-        layer.apply_due(t(40), &mut tr, n(0));
+        layer.apply_due(t(40), &mut tr);
         let kinds: Vec<&str> = obs.events_tail(10).into_iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -1140,7 +1183,7 @@ mod tests {
         let mut layer = ChaosLayer::new(&plan);
         layer.set_obs(&obs);
         let mut tr = transport();
-        layer.apply_due(t(40), &mut tr, n(0));
+        layer.apply_due(t(40), &mut tr);
 
         let spans = obs.spans();
         assert_eq!(spans.len(), 3, "one span per fault");

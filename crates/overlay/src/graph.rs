@@ -2,7 +2,6 @@
 //! with dynamic node/link failure state.
 
 use acm_sim::time::Duration;
-use std::collections::BTreeMap;
 
 /// Identifier of an overlay node (a VM controller).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,14 +36,32 @@ impl LinkId {
 
 /// A weighted undirected overlay topology with failure state.
 ///
-/// Deterministic iteration everywhere (BTree storage): the control loop's
-/// behaviour must not depend on hash ordering.
+/// Per-node state lives in a dense vector indexed by `NodeId.0` (the
+/// node's *slot*), so node ids should be small consecutive integers —
+/// controller indices, as everywhere in this workspace. Memory grows with
+/// the largest id. Neighbour lists are kept in ascending id order, so
+/// every iteration is deterministic: the control loop's behaviour must not
+/// depend on insertion or hash ordering.
 #[derive(Debug, Clone, Default)]
 pub struct OverlayGraph {
-    /// Adjacency: node → (neighbor → latency).
-    adj: BTreeMap<NodeId, BTreeMap<NodeId, Duration>>,
-    failed_nodes: Vec<NodeId>,
-    failed_links: Vec<LinkId>,
+    /// Per slot: the node, or `None` for an id that was never added.
+    slots: Vec<Option<Node>>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Node {
+    failed: bool,
+    /// Incident links, ascending by neighbour id.
+    edges: Vec<Edge>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: NodeId,
+    latency: Duration,
+    /// The link itself is marked failed (endpoint failures live on the
+    /// nodes). Kept on both directions of the link.
+    failed: bool,
 }
 
 impl OverlayGraph {
@@ -55,85 +72,140 @@ impl OverlayGraph {
 
     /// Adds a node (idempotent).
     pub fn add_node(&mut self, n: NodeId) {
-        self.adj.entry(n).or_default();
+        let i = n.0 as usize;
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i].get_or_insert_with(Node::default);
     }
 
     /// Adds (or updates) an undirected link with the given latency. Both
     /// endpoints are created if absent.
     pub fn add_link(&mut self, x: NodeId, y: NodeId, latency: Duration) {
         assert_ne!(x, y, "self-loop links are not allowed");
-        self.adj.entry(x).or_default().insert(y, latency);
-        self.adj.entry(y).or_default().insert(x, latency);
+        for (from, to) in [(x, y), (y, x)] {
+            self.add_node(from);
+            let edges = &mut self.node_mut(from).expect("just added").edges;
+            match edges.binary_search_by_key(&to, |e| e.to) {
+                Ok(k) => edges[k].latency = latency,
+                Err(k) => edges.insert(
+                    k,
+                    Edge {
+                        to,
+                        latency,
+                        failed: false,
+                    },
+                ),
+            }
+        }
+    }
+
+    fn node(&self, n: NodeId) -> Option<&Node> {
+        self.slots.get(n.0 as usize)?.as_ref()
+    }
+
+    fn node_mut(&mut self, n: NodeId) -> Option<&mut Node> {
+        self.slots.get_mut(n.0 as usize)?.as_mut()
+    }
+
+    fn edge(&self, x: NodeId, y: NodeId) -> Option<&Edge> {
+        let edges = &self.node(x)?.edges;
+        edges
+            .binary_search_by_key(&y, |e| e.to)
+            .ok()
+            .map(|k| &edges[k])
+    }
+
+    fn edge_mut(&mut self, x: NodeId, y: NodeId) -> Option<&mut Edge> {
+        let edges = &mut self.node_mut(x)?.edges;
+        let k = edges.binary_search_by_key(&y, |e| e.to).ok()?;
+        Some(&mut edges[k])
+    }
+
+    /// Sets the failure flag on both directions of an existing link.
+    fn set_link_failed(&mut self, x: NodeId, y: NodeId, failed: bool) {
+        assert_ne!(x, y, "self-loop links are not allowed");
+        for (from, to) in [(x, y), (y, x)] {
+            if let Some(e) = self.edge_mut(from, to) {
+                e.failed = failed;
+            }
+        }
     }
 
     /// All node ids in ascending order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.adj.keys().copied()
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_some())
+            .map(|(i, _)| NodeId(i as u32))
     }
 
     /// Number of nodes (including failed ones).
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.nodes().count()
+    }
+
+    /// One past the largest slot in use: dense per-node tables (such as
+    /// shortest-path trees) indexed by `NodeId.0` need this many entries.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// True if the node exists (failed or not).
     pub fn contains(&self, n: NodeId) -> bool {
-        self.adj.contains_key(&n)
+        self.node(n).is_some()
     }
 
-    /// Marks a node as failed (its links stop carrying traffic).
+    /// Marks a node as failed (its links stop carrying traffic). No-op
+    /// for an unknown node.
     pub fn fail_node(&mut self, n: NodeId) {
-        if !self.failed_nodes.contains(&n) {
-            self.failed_nodes.push(n);
+        if let Some(node) = self.node_mut(n) {
+            node.failed = true;
         }
     }
 
     /// Clears a node failure.
     pub fn recover_node(&mut self, n: NodeId) {
-        self.failed_nodes.retain(|x| *x != n);
+        if let Some(node) = self.node_mut(n) {
+            node.failed = false;
+        }
     }
 
-    /// Marks a link as failed.
+    /// Marks a link as failed. No-op when no such link exists.
     pub fn fail_link(&mut self, x: NodeId, y: NodeId) {
-        let id = LinkId::new(x, y);
-        if !self.failed_links.contains(&id) {
-            self.failed_links.push(id);
-        }
+        self.set_link_failed(x, y, true);
     }
 
     /// Clears a link failure.
     pub fn recover_link(&mut self, x: NodeId, y: NodeId) {
-        let id = LinkId::new(x, y);
-        self.failed_links.retain(|l| *l != id);
+        self.set_link_failed(x, y, false);
     }
 
     /// True when the node exists and is not failed.
     pub fn is_alive(&self, n: NodeId) -> bool {
-        self.contains(n) && !self.failed_nodes.contains(&n)
+        self.node(n).is_some_and(|node| !node.failed)
     }
 
     /// True when the link exists and neither it nor its endpoints are down.
     pub fn link_usable(&self, x: NodeId, y: NodeId) -> bool {
-        self.is_alive(x)
-            && self.is_alive(y)
-            && self.adj.get(&x).is_some_and(|nbrs| nbrs.contains_key(&y))
-            && !self.failed_links.contains(&LinkId::new(x, y))
+        self.is_alive(x) && self.is_alive(y) && self.edge(x, y).is_some_and(|e| !e.failed)
     }
 
-    /// Usable neighbors of `n` with link latencies, in ascending id order.
-    pub fn usable_neighbors(&self, n: NodeId) -> Vec<(NodeId, Duration)> {
-        if !self.is_alive(n) {
-            return Vec::new();
-        }
-        self.adj
-            .get(&n)
-            .map(|nbrs| {
-                nbrs.iter()
-                    .filter(|(m, _)| self.link_usable(n, **m))
-                    .map(|(m, d)| (*m, *d))
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// Usable neighbours of `n` with link latencies, in ascending id
+    /// order: nothing for a failed or unknown `n`, and otherwise every
+    /// link that is not failed and whose far end is alive. Allocates
+    /// nothing, so shortest-path searches and elections can call it per
+    /// expanded node.
+    pub fn usable_neighbors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, Duration)> + '_ {
+        let edges = match self.node(n) {
+            Some(node) if !node.failed => &node.edges[..],
+            _ => &[],
+        };
+        edges
+            .iter()
+            .filter(|e| !e.failed && self.is_alive(e.to))
+            .map(|e| (e.to, e.latency))
     }
 
     /// All alive nodes.
@@ -144,13 +216,13 @@ impl OverlayGraph {
     /// Raw latency of the direct link `x`–`y`, regardless of failure
     /// state, or `None` when no such link exists.
     pub fn link_latency(&self, x: NodeId, y: NodeId) -> Option<Duration> {
-        self.adj.get(&x).and_then(|nbrs| nbrs.get(&y)).copied()
+        self.edge(x, y).map(|e| e.latency)
     }
 
     /// True when the link exists and is explicitly marked failed (endpoint
     /// failures do not count).
     pub fn link_failed(&self, x: NodeId, y: NodeId) -> bool {
-        self.failed_links.contains(&LinkId::new(x, y))
+        self.edge(x, y).is_some_and(|e| e.failed)
     }
 
     /// Builds a fully-connected topology from per-node pairwise latencies —
@@ -194,7 +266,10 @@ mod tests {
         assert_eq!(g.node_count(), 2);
         assert!(g.link_usable(n(0), n(1)));
         assert!(g.link_usable(n(1), n(0)));
-        assert_eq!(g.usable_neighbors(n(0)), vec![(n(1), ms(20))]);
+        assert_eq!(
+            g.usable_neighbors(n(0)).collect::<Vec<_>>(),
+            vec![(n(1), ms(20))]
+        );
     }
 
     #[test]
@@ -205,7 +280,7 @@ mod tests {
         g.fail_node(n(1));
         assert!(!g.is_alive(n(1)));
         assert!(!g.link_usable(n(0), n(1)));
-        assert!(g.usable_neighbors(n(0)).is_empty());
+        assert_eq!(g.usable_neighbors(n(0)).count(), 0);
         assert_eq!(g.alive_nodes(), vec![n(0), n(2)]);
         g.recover_node(n(1));
         assert!(g.link_usable(n(0), n(1)));
@@ -220,6 +295,24 @@ mod tests {
         assert!(g.is_alive(n(0)) && g.is_alive(n(1)));
         g.recover_link(n(0), n(1));
         assert!(g.link_usable(n(0), n(1)));
+    }
+
+    #[test]
+    fn usable_neighbors_skip_failed_links_and_dead_peers_in_id_order() {
+        let mut g = OverlayGraph::new();
+        for m in [3, 1, 4, 2] {
+            g.add_link(n(0), n(m), ms(10 * u64::from(m)));
+        }
+        g.fail_link(n(4), n(0));
+        g.fail_node(n(2));
+        assert_eq!(
+            g.usable_neighbors(n(0)).collect::<Vec<_>>(),
+            vec![(n(1), ms(10)), (n(3), ms(30))]
+        );
+        assert!(g.link_failed(n(0), n(4)) && !g.link_failed(n(0), n(2)));
+        g.add_link(n(0), n(4), ms(5)); // a latency update keeps the failure
+        assert!(g.link_failed(n(0), n(4)));
+        assert_eq!(g.link_latency(n(4), n(0)), Some(ms(5)));
     }
 
     #[test]
@@ -240,14 +333,14 @@ mod tests {
             (n(1), n(2), ms(15)),
         ]);
         assert_eq!(g.node_count(), 3);
-        assert_eq!(g.usable_neighbors(n(2)).len(), 2);
+        assert_eq!(g.usable_neighbors(n(2)).count(), 2);
     }
 
     #[test]
     fn nonexistent_node_queries_are_safe() {
         let g = OverlayGraph::new();
         assert!(!g.is_alive(n(9)));
-        assert!(g.usable_neighbors(n(9)).is_empty());
+        assert_eq!(g.usable_neighbors(n(9)).count(), 0);
         assert!(!g.link_usable(n(9), n(8)));
     }
 }

@@ -11,8 +11,8 @@
 //! simulation kernel:
 //!
 //! * [`graph`] — the weighted controller topology,
-//! * [`routing`] — smallest-latency paths (Dijkstra) with failure-aware
-//!   rerouting,
+//! * [`routing`] — smallest-latency paths (one Dijkstra shortest-path tree
+//!   per source) with failure-aware rerouting,
 //! * [`election`] — leader election that tolerates multiple node and link
 //!   failures (per-partition minimum-id convergecast, re-run on any
 //!   membership change),

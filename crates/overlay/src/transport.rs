@@ -1,14 +1,22 @@
 //! Latency-faithful message delivery between controllers.
 //!
-//! [`Transport`] wraps the topology and the route cache, tracks
+//! [`Transport`] wraps the topology and its [`Router`], tracks
 //! sent/dropped counters, and schedules deliveries on the discrete-event
 //! simulator after the route latency. Messages to unreachable nodes are
 //! dropped (the control loop tolerates this: a slave whose report is lost
 //! simply keeps its previous plan for one era — the same behaviour a lost
 //! TCP connection would produce in the real deployment).
+//!
+//! Every fail/recover goes through the transport, which drops all
+//! shortest-path trees at once; the next query from each source rebuilds
+//! that source's tree with one full Dijkstra. After that,
+//! [`Transport::latency`] is one read of the tree and
+//! [`Transport::prepare_send`] walks the tree's predecessors to record the
+//! route shape, so neither allocates. On a 200-controller star a cold
+//! all-pairs sweep costs 200 searches and a warm one none.
 
 use crate::graph::{NodeId, OverlayGraph};
-use crate::routing::Router;
+use crate::routing::{Route, Router};
 use acm_obs::{Counter, Hist, ObsHandle, Timer};
 use acm_sim::sim::Simulator;
 use acm_sim::time::Duration;
@@ -47,7 +55,8 @@ impl Transport {
     }
 
     /// Attaches observability: `acm.overlay.transport.route_ns` times every
-    /// route computation/cache hit, `…transport.hops` and
+    /// send's route lookup (tree build or read, plus the walk that records
+    /// the route shape), `…transport.hops` and
     /// `…transport.hop_latency_us` record the shape of each delivered
     /// route, and `…transport.{sent,dropped,unroutable}` export the send
     /// counters (unroutable counts sends with no usable path — today the
@@ -70,6 +79,12 @@ impl Transport {
     /// when unreachable.
     pub fn latency(&mut self, from: NodeId, to: NodeId) -> Option<Duration> {
         self.router.latency(&self.graph, from, to)
+    }
+
+    /// Current smallest-latency route between two controllers, or `None`
+    /// when unreachable.
+    pub fn route(&mut self, from: NodeId, to: NodeId) -> Option<Route> {
+        self.router.route(&self.graph, from, to)
     }
 
     /// Fails a link and invalidates routes.
@@ -100,21 +115,24 @@ impl Transport {
     /// `None` and counts a drop. The caller schedules the delivery — this
     /// keeps `Transport` usable both inside and outside a simulator world.
     pub fn prepare_send(&mut self, from: NodeId, to: NodeId) -> Option<Duration> {
-        let route = {
+        let graph = &self.graph;
+        let hist_hop_latency = &self.hist_hop_latency;
+        let mut hops = 0u64;
+        let latency = {
             let _span = self.route_timer.start();
-            self.router.route(&self.graph, from, to)
+            self.router.walk(graph, from, to, |a, b| {
+                hops += 1;
+                if let Some(d) = graph.link_latency(a, b) {
+                    hist_hop_latency.record(d.as_micros());
+                }
+            })
         };
-        match route {
-            Some(r) => {
+        match latency {
+            Some(latency) => {
                 self.sent += 1;
                 self.ctr_sent.inc();
-                self.hist_hops.record(r.hops() as u64);
-                for hop in r.path.windows(2) {
-                    if let Some(d) = self.graph.link_latency(hop[0], hop[1]) {
-                        self.hist_hop_latency.record(d.as_micros());
-                    }
-                }
-                Some(r.latency)
+                self.hist_hops.record(hops);
+                Some(latency)
             }
             None => {
                 self.dropped += 1;

@@ -183,3 +183,31 @@ fn scripted_crash_window_recovers_end_to_end() {
     let f1_tail = tel.fraction(1).points()[55].value;
     assert!(f1_tail > 0.0, "healed region ends the run with zero flow");
 }
+
+/// Random campaigns once found leader kills that never re-elected: a
+/// crash window on the leader opened before the kill and closed after it,
+/// inside one era's fault batch. The kill then hit the node that had
+/// already crashed (crash → no-op kill → recover) and the leader never
+/// changed, breaking `reelection_bound`. Each reproducer is
+/// `(master seed, campaign salt, case index)`.
+#[test]
+fn leader_kill_behind_a_crash_in_the_same_batch_still_reelects() {
+    use acm::chaos::{build_case, run_case, CampaignConfig};
+    for (seed, salt, index, case_seed) in [
+        (100, 9, 70, 0x29b3_5b79_03a4_d1b8u64),
+        (102, 3, 151, 0x912c_059b_c360_e82c),
+        (102, 4, 80, 0x60a8_c583_b653_edf6),
+    ] {
+        let cc = CampaignConfig {
+            seed: acm::obs::trace::mix(seed, salt),
+            ..Default::default()
+        };
+        let case = build_case(&cc, index);
+        assert_eq!(
+            case.case_seed, case_seed,
+            "reproducer ({seed}, {salt}, {index})"
+        );
+        let verdict = run_case(&case);
+        assert!(verdict.ok(), "{}", verdict.line());
+    }
+}
