@@ -1,7 +1,7 @@
 //! Chaos / graceful-degradation report.
 //!
-//! Replays the deterministic fault scenarios the robustness PR introduced
-//! — partition + heal under both detector regimes, a leader kill, and a
+//! Replays the named fault scenarios of `acm_chaos::scenarios` —
+//! partition + heal under both detector regimes, a leader kill, and a
 //! flap storm with message-level chaos — through full Figure-3/Figure-4
 //! deployments with degradation enabled, measures how the leader's Plan
 //! phase rides through each outage, and writes the numbers to
@@ -22,56 +22,24 @@
 //! * a fixed plan and seed replay byte-identically at 1 and 4 worker
 //!   threads (telemetry and decision log).
 //!
-//! Every scenario is deterministic per its hard-coded seed, so the gate
+//! Every scenario is deterministic per its catalogue seed, so the gate
 //! numbers are stable across machines.
 
-use acm_core::config::{ExperimentConfig, PredictorChoice};
+use acm_bench::Report;
+use acm_chaos::scenarios::{self, ERA_S, HEAL_ERA, KILL_ERA, PARTITION_ERA};
+use acm_core::config::ExperimentConfig;
 use acm_core::framework::run_experiment_with_obs;
-use acm_core::policy::PolicyKind;
 use acm_core::telemetry::ExperimentTelemetry;
-use acm_core::DegradationConfig;
 use acm_obs::{Obs, ObsConfig, ObsHandle, Value};
-use acm_overlay::{FaultPlan, HeartbeatConfig, NodeId};
-use acm_sim::time::{Duration, SimTime};
+use acm_overlay::HeartbeatConfig;
+use acm_sim::time::Duration;
 
-/// Era length of the paper deployments (seconds).
-const ERA_S: u64 = 30;
 /// Eras the healed region may take to re-enter the plan.
 const READMIT_BUDGET_ERAS: usize = 25;
 /// Eras the live set may take to return to the equal-RMTTF band.
 const CONVERGE_BUDGET_ERAS: usize = 25;
 /// The equal-RMTTF band: max/min ratio of 5-era-smoothed region RMTTFs.
 const SPREAD_BAND: f64 = 1.35;
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>14.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 fn run(cfg: &ExperimentConfig) -> (ExperimentTelemetry, ObsHandle) {
     let obs = Obs::new(ObsConfig::default());
@@ -145,21 +113,7 @@ fn partition_heal_scenario(
     heartbeat: HeartbeatConfig,
     expect_reason: &str,
 ) {
-    let fail_era = 10usize;
-    let heal_era = 20usize;
-    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2025);
-    cfg.predictor = PredictorChoice::Oracle;
-    cfg.eras = 60;
-    cfg.fault_plan = Some(FaultPlan::scripted(1, Vec::new()).partition_window(
-        vec![NodeId(1)],
-        SimTime::from_secs(fail_era as u64 * ERA_S),
-        SimTime::from_secs(heal_era as u64 * ERA_S),
-    ));
-    cfg.degradation = DegradationConfig {
-        heartbeat,
-        ..DegradationConfig::enabled()
-    };
-    let (tel, obs) = run(&cfg);
+    let (tel, obs) = run(&scenarios::partition_heal(heartbeat));
 
     let quarantines = count_events(&obs, "region.quarantine");
     let readmits = count_events(&obs, "region.readmit");
@@ -177,7 +131,7 @@ fn partition_heal_scenario(
     // Zero flow while unreachable. The staleness TTL (2 eras) admits up
     // to three stale eras before quarantine, so the window starts at
     // fail + 4 to cover both regimes.
-    let cut: Vec<f64> = tel.fraction(1).points()[fail_era + 4..heal_era]
+    let cut: Vec<f64> = tel.fraction(1).points()[PARTITION_ERA + 4..HEAL_ERA]
         .iter()
         .map(|p| p.value)
         .collect();
@@ -191,8 +145,8 @@ fn partition_heal_scenario(
         format!("{label}: quarantined region still receives flow: {cut:?}"),
     );
 
-    let readmit_era = first_flow_era(&tel, 1, heal_era);
-    let readmit_delay = readmit_era.map(|e| e - heal_era);
+    let readmit_era = first_flow_era(&tel, 1, HEAL_ERA);
+    let readmit_delay = readmit_era.map(|e| e - HEAL_ERA);
     report.push(
         &format!("{label}_readmit_eras_after_heal"),
         readmit_delay.map_or(f64::NAN, |d| d as f64),
@@ -202,7 +156,7 @@ fn partition_heal_scenario(
         format!("{label}: re-admission after heal took {readmit_delay:?} eras (budget {READMIT_BUDGET_ERAS})"),
     );
 
-    let conv = converge_era(&tel, &[0, 1], heal_era).map(|e| e - heal_era);
+    let conv = converge_era(&tel, &[0, 1], HEAL_ERA).map(|e| e - HEAL_ERA);
     report.push(
         &format!("{label}_converge_eras_after_heal"),
         conv.map_or(f64::NAN, |d| d as f64),
@@ -218,16 +172,7 @@ fn partition_heal_scenario(
 /// recover it: a new leader must take over and the dead region's flow
 /// must be redistributed over the two survivors.
 fn leader_kill_scenario(report: &mut Report) {
-    let kill_era = 10usize;
-    let mut cfg = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 2025);
-    cfg.predictor = PredictorChoice::Oracle;
-    cfg.eras = 40;
-    cfg.fault_plan = Some(
-        FaultPlan::scripted(2, Vec::new())
-            .kill_leader_at(SimTime::from_secs(kill_era as u64 * ERA_S)),
-    );
-    cfg.degradation = DegradationConfig::enabled();
-    let (tel, obs) = run(&cfg);
+    let (tel, obs) = run(&scenarios::leader_kill());
 
     let re_elections = count_events(&obs, "leader.change");
     report.push("leader_kill_re_elections", re_elections as f64);
@@ -240,7 +185,7 @@ fn leader_kill_scenario(report: &mut Report) {
         count_events(&obs, "chaos.leader.kill") as f64,
     );
 
-    let tail: Vec<f64> = tel.fraction(0).points()[kill_era + 4..]
+    let tail: Vec<f64> = tel.fraction(0).points()[KILL_ERA + 4..]
         .iter()
         .map(|p| p.value)
         .collect();
@@ -259,7 +204,7 @@ fn leader_kill_scenario(report: &mut Report) {
         format!("leader_kill: survivors hold {live_sum} of the flow, not 1.0"),
     );
 
-    let conv = converge_era(&tel, &[1, 2], kill_era).map(|e| e - kill_era);
+    let conv = converge_era(&tel, &[1, 2], KILL_ERA).map(|e| e - KILL_ERA);
     report.push(
         "leader_kill_converge_eras_after_kill",
         conv.map_or(f64::NAN, |d| d as f64),
@@ -276,33 +221,7 @@ fn leader_kill_scenario(report: &mut Report) {
 /// delay, under the tolerant (TTL) detector: the retry path and the
 /// staleness TTL must absorb all of it without one spurious quarantine.
 fn flap_storm_scenario(report: &mut Report) {
-    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2025);
-    cfg.predictor = PredictorChoice::Oracle;
-    cfg.eras = 60;
-    cfg.fault_plan = Some(
-        FaultPlan::scripted(7, Vec::new())
-            .link_flap(
-                NodeId(0),
-                NodeId(1),
-                SimTime::from_secs(15 * ERA_S),
-                SimTime::from_secs(16 * ERA_S),
-            )
-            .link_flap(
-                NodeId(0),
-                NodeId(1),
-                SimTime::from_secs(35 * ERA_S),
-                SimTime::from_secs(36 * ERA_S),
-            )
-            .with_message_chaos(0.10, Duration::from_millis(25)),
-    );
-    cfg.degradation = DegradationConfig {
-        heartbeat: HeartbeatConfig {
-            period: Duration::from_secs(ERA_S),
-            timeout: Duration::from_secs(5 * ERA_S),
-        },
-        ..DegradationConfig::enabled()
-    };
-    let (tel, obs) = run(&cfg);
+    let (tel, obs) = run(&scenarios::flap_storm());
 
     let retries = obs
         .metrics()
@@ -346,18 +265,10 @@ fn flap_storm_scenario(report: &mut Report) {
 /// fault. (The SLO monitors only run on traced hubs, so the untraced
 /// scenarios above stay byte-identical to their PR 5 baselines.)
 fn slo_fault_correlation_scenario(report: &mut Report) {
-    let fail_s = 10.0 * ERA_S as f64;
-    let heal_s = 20.0 * ERA_S as f64;
-    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2025);
-    cfg.predictor = PredictorChoice::Oracle;
-    cfg.eras = 60;
-    cfg.fault_plan = Some(FaultPlan::scripted(1, Vec::new()).partition_window(
-        vec![NodeId(1)],
-        SimTime::from_secs(fail_s as u64),
-        SimTime::from_secs(heal_s as u64),
-    ));
-    cfg.degradation = DegradationConfig::enabled();
-    let obs = Obs::new(ObsConfig::traced(2025));
+    let fail_s = (PARTITION_ERA as u64 * ERA_S) as f64;
+    let heal_s = (HEAL_ERA as u64 * ERA_S) as f64;
+    let cfg = scenarios::partition_heal(HeartbeatConfig::default());
+    let obs = Obs::new(ObsConfig::traced(scenarios::SEED));
     let _ = run_experiment_with_obs(&cfg, obs.clone());
 
     let events = obs.events_tail(usize::MAX);
@@ -401,19 +312,11 @@ fn slo_fault_correlation_scenario(report: &mut Report) {
 /// the decision log — at 1 and 4 worker threads.
 fn byte_identity_check(report: &mut Report) {
     let run_once = || {
-        let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2025);
-        cfg.predictor = PredictorChoice::Oracle;
+        let mut cfg = scenarios::partition_heal(HeartbeatConfig::default());
         cfg.eras = 30;
-        cfg.fault_plan = Some(
-            FaultPlan::scripted(1, Vec::new())
-                .partition_window(
-                    vec![NodeId(1)],
-                    SimTime::from_secs(10 * ERA_S),
-                    SimTime::from_secs(20 * ERA_S),
-                )
-                .with_message_chaos(0.05, Duration::from_millis(40)),
-        );
-        cfg.degradation = DegradationConfig::enabled();
+        cfg.fault_plan = cfg
+            .fault_plan
+            .map(|plan| plan.with_message_chaos(0.05, Duration::from_millis(40)));
         let (tel, obs) = run(&cfg);
         (tel.to_csv(), obs.events_jsonl())
     };
@@ -443,10 +346,7 @@ fn main() {
             }
         }
     }
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::new(14);
 
     println!("chaos / graceful-degradation report (fixed seeds)\n");
     println!("partition + heal, suspicion detector (default heartbeat)");
@@ -460,10 +360,7 @@ fn main() {
     partition_heal_scenario(
         &mut report,
         "partition_ttl",
-        HeartbeatConfig {
-            period: Duration::from_secs(ERA_S),
-            timeout: Duration::from_secs(5 * ERA_S),
-        },
+        scenarios::tolerant_heartbeat(),
         "stale",
     );
     println!("\nleader kill (Figure-4 deployment)");
@@ -475,21 +372,5 @@ fn main() {
     println!("\nthread-width byte identity");
     byte_identity_check(&mut report);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR5.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR5.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR5.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all convergence gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        if gate {
-            std::process::exit(1);
-        }
-    }
+    report.finish("BENCH_PR5.json", "all convergence gates hold", gate);
 }

@@ -26,6 +26,7 @@
 //! cargo run --release -p acm-bench --bin model_report [-- --gate]
 //! ```
 
+use acm_bench::Report;
 use acm_core::config::ExperimentConfig;
 use acm_core::control_loop::ControlLoop;
 use acm_core::policy::PolicyKind;
@@ -49,36 +50,6 @@ const PLAN_P99_FACTOR: f64 = 10.0;
 /// Absolute escape hatch for the plan-phase gate: when both p99s are
 /// this small the ratio is noise, not a regression.
 const PLAN_P99_ESCAPE_NS: f64 = 1_000_000.0;
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>16.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 /// The drifted deployment: Fig. 3 regions leaking memory 3x faster than
 /// any training profile assumed, a sensitive drift monitor and a
@@ -387,10 +358,7 @@ fn width_scenario(report: &mut Report, models: &[RttfPredictor]) {
 
 fn main() {
     let gate = std::env::args().any(|a| a == "--gate");
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::new(16);
 
     println!(
         "model-lifecycle report ({} mode, {} cores)\n",
@@ -412,19 +380,5 @@ fn main() {
     println!("\nthread-width sweep (1/2/4 threads)");
     width_scenario(&mut report, &models);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR9.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR9.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR9.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    report.finish("BENCH_PR9.json", "all gates hold", true);
 }

@@ -83,6 +83,9 @@ fn round_sig(v: f64, digits: i32) -> f64 {
     }
 }
 
+/// The micro-timing report. Not `acm_bench::Report`: these values keep
+/// 4 significant digits (the shared report rounds to 3 decimals, which
+/// flattens sub-millisecond timings) and no gate lands in the JSON.
 struct Report {
     entries: Vec<(String, f64)>,
 }

@@ -1,6 +1,6 @@
 //! Causal-tracing report: why-chains, era timeline, SLO burn summary.
 //!
-//! Replays the deterministic chaos scenarios of the robustness PR with
+//! Replays the named fault scenarios of `acm_chaos::scenarios` with
 //! causal tracing enabled, reconstructs the why-chain behind every
 //! quarantine / readmit / re-plan decision (fault → suspicion →
 //! quarantine → re-plan → readmit), writes the leader's era timeline as
@@ -28,19 +28,16 @@
 //! Every scenario is seed-fixed, so apart from the wall-clock overhead
 //! section the report is stable across machines.
 
-use acm_core::config::{ExperimentConfig, PredictorChoice};
+use acm_bench::Report;
+use acm_chaos::scenarios::{self, ERA_S, HEAL_ERA, KILL_ERA, PARTITION_ERA, SEED};
+use acm_core::config::ExperimentConfig;
 use acm_core::framework::run_experiment_with_obs;
-use acm_core::policy::PolicyKind;
 use acm_core::telemetry::ExperimentTelemetry;
-use acm_core::DegradationConfig;
 use acm_obs::{Obs, ObsConfig, ObsHandle, SpanRecord, Value};
-use acm_overlay::{FaultPlan, HeartbeatConfig, NodeId};
-use acm_sim::time::{Duration, SimTime};
+use acm_overlay::HeartbeatConfig;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Era length of the paper deployments (seconds).
-const ERA_S: u64 = 30;
 /// Tracing-off overhead budget vs a fully disabled hub (ratio - 1).
 const NOOP_BUDGET: f64 = 0.02;
 /// Tracing-on overhead budget vs the untraced run (ratio - 1).
@@ -54,36 +51,6 @@ const DECISION_KINDS: [&str; 6] = [
     "region.readmit",
     "leader.change",
 ];
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>14.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 fn run_traced(cfg: &ExperimentConfig, trace_seed: u64) -> (ExperimentTelemetry, ObsHandle) {
     let obs = Obs::new(ObsConfig::traced(trace_seed));
@@ -155,8 +122,7 @@ fn audit_chains(label: &str, obs: &ObsHandle, print_chains: bool) -> (usize, usi
         if e.kind == "region.quarantine" {
             quarantines += 1;
             let root = links.last().unwrap().name;
-            if root.starts_with("chaos.") || root == "fault.scripted" || root == "heartbeat.timeout"
-            {
+            if root.starts_with("chaos.") || root == "heartbeat.timeout" {
                 rooted += 1;
             }
             if print_chains {
@@ -192,25 +158,12 @@ fn slo_summary(obs: &ObsHandle) -> (usize, usize, f64, f64) {
     (burns.len(), recoveries.len(), first_burn, last_rec)
 }
 
-fn partition_cfg() -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2025);
-    cfg.predictor = PredictorChoice::Oracle;
-    cfg.eras = 60;
-    cfg.fault_plan = Some(FaultPlan::scripted(1, Vec::new()).partition_window(
-        vec![NodeId(1)],
-        SimTime::from_secs(10 * ERA_S),
-        SimTime::from_secs(20 * ERA_S),
-    ));
-    cfg.degradation = DegradationConfig::enabled();
-    cfg
-}
-
 /// The partition scenario: ten eras of unreachability must produce a
 /// fully rooted quarantine chain, an SLO burn inside the fault window
 /// with recovery after the heal, and a non-trivial era timeline.
 fn partition_scenario(report: &mut Report) {
-    let cfg = partition_cfg();
-    let (_tel, obs) = run_traced(&cfg, 2025);
+    let cfg = scenarios::partition_heal(HeartbeatConfig::default());
+    let (_tel, obs) = run_traced(&cfg, SEED);
 
     let (decisions, orphans, quarantines, rooted) = audit_chains("partition", &obs, true);
     report.push("partition_decision_events", decisions as f64);
@@ -230,8 +183,8 @@ fn partition_scenario(report: &mut Report) {
     report.push("partition_slo_recoveries", recoveries as f64);
     report.push("partition_slo_first_burn_s", first_burn);
     report.push("partition_slo_last_recovery_s", last_rec);
-    let fail_s = (10 * ERA_S) as f64;
-    let heal_s = (20 * ERA_S) as f64;
+    let fail_s = (PARTITION_ERA as u64 * ERA_S) as f64;
+    let heal_s = (HEAL_ERA as u64 * ERA_S) as f64;
     report.gate(
         burns > 0 && first_burn >= fail_s && first_burn <= heal_s + 5.0 * ERA_S as f64,
         format!(
@@ -268,13 +221,7 @@ fn partition_scenario(report: &mut Report) {
 
 /// Leader kill: the election outcome must chain back to the kill.
 fn leader_kill_scenario(report: &mut Report) {
-    let mut cfg = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 2025);
-    cfg.predictor = PredictorChoice::Oracle;
-    cfg.eras = 40;
-    cfg.fault_plan =
-        Some(FaultPlan::scripted(2, Vec::new()).kill_leader_at(SimTime::from_secs(10 * ERA_S)));
-    cfg.degradation = DegradationConfig::enabled();
-    let (_tel, obs) = run_traced(&cfg, 2025);
+    let (_tel, obs) = run_traced(&scenarios::leader_kill(), SEED);
 
     let (decisions, orphans, _q, _r) = audit_chains("leader_kill", &obs, true);
     report.push("leader_kill_decision_events", decisions as f64);
@@ -290,7 +237,7 @@ fn leader_kill_scenario(report: &mut Report) {
     let caused_election = obs
         .events_tail(usize::MAX)
         .iter()
-        .filter(|e| e.kind == "leader.change" && e.t_us >= 10 * ERA_S * 1_000_000)
+        .filter(|e| e.kind == "leader.change" && e.t_us >= KILL_ERA as u64 * ERA_S * 1_000_000)
         .any(|e| {
             span_field(&e.fields, "span").is_some_and(|id| {
                 chain(&by_id, id)
@@ -311,33 +258,7 @@ fn leader_kill_scenario(report: &mut Report) {
 /// Flap storm under the tolerant detector: chains must stay complete
 /// even when nothing escalates to a quarantine (no spurious roots).
 fn flap_storm_scenario(report: &mut Report) {
-    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2025);
-    cfg.predictor = PredictorChoice::Oracle;
-    cfg.eras = 60;
-    cfg.fault_plan = Some(
-        FaultPlan::scripted(7, Vec::new())
-            .link_flap(
-                NodeId(0),
-                NodeId(1),
-                SimTime::from_secs(15 * ERA_S),
-                SimTime::from_secs(16 * ERA_S),
-            )
-            .link_flap(
-                NodeId(0),
-                NodeId(1),
-                SimTime::from_secs(35 * ERA_S),
-                SimTime::from_secs(36 * ERA_S),
-            )
-            .with_message_chaos(0.10, Duration::from_millis(25)),
-    );
-    cfg.degradation = DegradationConfig {
-        heartbeat: HeartbeatConfig {
-            period: Duration::from_secs(ERA_S),
-            timeout: Duration::from_secs(5 * ERA_S),
-        },
-        ..DegradationConfig::enabled()
-    };
-    let (_tel, obs) = run_traced(&cfg, 2025);
+    let (_tel, obs) = run_traced(&scenarios::flap_storm(), SEED);
 
     let (decisions, orphans, quarantines, _r) = audit_chains("flap_storm", &obs, false);
     report.push("flap_storm_decision_events", decisions as f64);
@@ -358,9 +279,9 @@ fn flap_storm_scenario(report: &mut Report) {
 /// The traced partition replay must be byte-identical — telemetry CSV,
 /// event log and span tree — at 1 and 4 worker threads.
 fn byte_identity_check(report: &mut Report) {
-    let cfg = partition_cfg();
+    let cfg = scenarios::partition_heal(HeartbeatConfig::default());
     let run_once = || {
-        let (tel, obs) = run_traced(&cfg, 2025);
+        let (tel, obs) = run_traced(&cfg, SEED);
         (tel.to_csv(), obs.events_jsonl(), obs.spans_jsonl())
     };
     let before = acm_exec::current_threads();
@@ -446,7 +367,7 @@ fn overhead_check(report: &mut Report) {
     );
 
     // Enabled: full experiment, interleaved.
-    let mut cfg = partition_cfg();
+    let mut cfg = scenarios::partition_heal(HeartbeatConfig::default());
     cfg.eras = 30;
     let time_once = |obs_cfg: ObsConfig| {
         let obs = Obs::new(obs_cfg);
@@ -455,11 +376,11 @@ fn overhead_check(report: &mut Report) {
         t0.elapsed().as_secs_f64()
     };
     let _ = time_once(ObsConfig::default());
-    let _ = time_once(ObsConfig::traced(2025));
+    let _ = time_once(ObsConfig::traced(SEED));
     let (mut off_ts, mut on_ts) = (Vec::new(), Vec::new());
     for _ in 0..7 {
         off_ts.push(time_once(ObsConfig::default()));
-        on_ts.push(time_once(ObsConfig::traced(2025)));
+        on_ts.push(time_once(ObsConfig::traced(SEED)));
     }
     let on_overhead = min(&on_ts) / min(&off_ts) - 1.0;
     report.push("overhead_untraced_experiment_s", min(&off_ts));
@@ -499,10 +420,7 @@ fn overhead_check(report: &mut Report) {
 
 fn main() {
     let gate = std::env::args().any(|a| a == "--gate");
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::new(14);
 
     println!("causal tracing report (fixed seeds)\n");
     println!("partition + heal (Figure-3 deployment, eras 10..20)");
@@ -516,21 +434,5 @@ fn main() {
     println!("\nwall-clock overhead (interleaved rounds, minimum-of-rounds)");
     overhead_check(&mut report);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR7.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR7.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR7.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all tracing gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        if gate {
-            std::process::exit(1);
-        }
-    }
+    report.finish("BENCH_PR7.json", "all tracing gates hold", gate);
 }

@@ -7,7 +7,9 @@
 //! *observable* trace (telemetry + obs events), violations are shrunk by
 //! a delta-debugging [`shrink_plan`] loop to minimal reproducers, and
 //! those reproducers are committed as a [`CorpusEntry`] corpus that
-//! tier-1 replays as regression tests.
+//! tier-1 replays as regression tests. [`scenarios`] names the fixed
+//! partition, leader-kill and flap-storm outages the report binaries
+//! replay.
 //!
 //! Everything is deterministic end to end: cases are pure functions of
 //! `(campaign seed, index)`, runs replay byte-identically at every
@@ -19,6 +21,7 @@
 pub mod campaign;
 pub mod corpus;
 pub mod invariant;
+pub mod scenarios;
 pub mod shrink;
 
 pub use campaign::{

@@ -22,7 +22,7 @@ use acm_obs::ObsConfig;
 use acm_overlay::{FaultPlan, NodeId};
 use acm_pcam::{DriftConfig, LifecycleConfig, RegionConfig};
 use acm_router::LatencyAwareness;
-use acm_sim::time::{Duration, SimTime};
+use acm_sim::time::Duration;
 use acm_vm::VmFlavor;
 use acm_workload::{ClientSchedule, RegionWorkload, TpcwMix};
 
@@ -52,19 +52,6 @@ impl RegionSpec {
     }
 }
 
-/// A scheduled overlay fault (link level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFault {
-    /// First endpoint (region index).
-    pub a: usize,
-    /// Second endpoint (region index).
-    pub b: usize,
-    /// Fault injection instant.
-    pub fail_at: SimTime,
-    /// Recovery instant.
-    pub recover_at: SimTime,
-}
-
 /// Complete description of one experiment run.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -92,13 +79,11 @@ pub struct ExperimentConfig {
     pub predictor: PredictorChoice,
     /// Autoscaling configuration.
     pub autoscale: AutoscaleConfig,
-    /// Scheduled overlay faults.
-    pub link_faults: Vec<LinkFault>,
-    /// Deterministic chaos schedule replayed against the overlay
+    /// Deterministic fault schedule replayed against the overlay
     /// transport (link flaps, crashes, partitions, leader kills,
-    /// per-message drop/delay). `None` keeps the chaos layer entirely
-    /// out of the loop — telemetry is byte-identical to a build without
-    /// it.
+    /// per-message drop/delay) — the loop's only fault input. `None`
+    /// keeps the chaos layer entirely out of the loop — telemetry is
+    /// byte-identical to a build without it.
     pub fault_plan: Option<FaultPlan>,
     /// Leader-side graceful degradation (staleness quarantine, report
     /// retries, re-admission hysteresis). Disabled by default.
@@ -186,7 +171,6 @@ impl ExperimentConfig {
             seed,
             predictor: PredictorChoice::Trained(ModelKind::RepTree),
             autoscale: AutoscaleConfig::default(),
-            link_faults: Vec::new(),
             fault_plan: None,
             degradation: DegradationConfig::default(),
             scenario: Scenario::none(),
@@ -230,7 +214,6 @@ impl ExperimentConfig {
             seed,
             predictor: PredictorChoice::Trained(ModelKind::RepTree),
             autoscale: AutoscaleConfig::default(),
-            link_faults: Vec::new(),
             fault_plan: None,
             degradation: DegradationConfig::default(),
             scenario: Scenario::none(),
@@ -258,6 +241,12 @@ impl ExperimentConfig {
         if !(self.k > 0.0 && self.k <= 1.0) {
             return Err(format!("k out of range: {}", self.k));
         }
+        if !(self.exploration_noise.is_finite() && self.exploration_noise >= 0.0) {
+            return Err(format!(
+                "exploration noise must be finite and non-negative: {}",
+                self.exploration_noise
+            ));
+        }
         if self.eras == 0 {
             return Err("need at least one era".into());
         }
@@ -267,14 +256,6 @@ impl ExperimentConfig {
         for (a, b, _) in &self.latencies {
             if *a >= self.regions.len() || *b >= self.regions.len() {
                 return Err(format!("latency endpoint out of range: ({a},{b})"));
-            }
-        }
-        for f in &self.link_faults {
-            if f.a >= self.regions.len() || f.b >= self.regions.len() {
-                return Err("fault endpoint out of range".into());
-            }
-            if f.recover_at <= f.fail_at {
-                return Err("fault must recover after it fails".into());
             }
         }
         if let Some(plan) = &self.fault_plan {
@@ -297,6 +278,7 @@ impl ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acm_sim::time::SimTime;
 
     #[test]
     fn paper_deployments_validate() {
@@ -348,13 +330,10 @@ mod tests {
         cfg.latencies = vec![(0, 7, Duration::from_millis(1))];
         assert!(cfg.validate().is_err());
 
-        let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::SensibleRouting, 1);
-        cfg.link_faults = vec![LinkFault {
-            a: 0,
-            b: 1,
-            fail_at: SimTime::from_secs(100),
-            recover_at: SimTime::from_secs(50),
-        }];
-        assert!(cfg.validate().is_err());
+        for noise in [-0.1, f64::NAN, f64::INFINITY] {
+            let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::SensibleRouting, 1);
+            cfg.exploration_noise = noise;
+            assert!(cfg.validate().is_err(), "noise {noise} passed validation");
+        }
     }
 }

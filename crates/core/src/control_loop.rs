@@ -14,11 +14,12 @@
 //!   reachable region's load balancer as a fresh global forward plan, and
 //!   autoscaling fires where the response-time / RMTTF thresholds demand.
 //!
-//! The loop also owns fault injection (scheduled overlay link faults) and
-//! leader re-election on membership changes.
+//! Faults enter through one hook: the chaos layer replays the configured
+//! `FaultPlan` (link flaps, crashes, partitions, leader kills) at each era
+//! boundary, and the loop re-elects the leader when the topology changed.
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler};
-use crate::config::{ExperimentConfig, LinkFault};
+use crate::config::ExperimentConfig;
 use crate::degrade::{DegradationConfig, HealthEvent, HealthTracker};
 use crate::ewma::RmttfEwma;
 use crate::plan::ForwardPlan;
@@ -80,8 +81,6 @@ pub struct ControlLoop {
     observed_response: Vec<f64>,
     /// The leader's latest received `lastRMTTF` per region (stale on loss).
     received_rmttf: Vec<f64>,
-    pending_faults: Vec<LinkFault>,
-    recoveries_due: Vec<LinkFault>,
     /// Chaos replay over the transport (present iff a plan is configured).
     chaos: Option<ChaosLayer>,
     /// Leader-side degradation knobs (quarantine, retries, hysteresis).
@@ -119,7 +118,7 @@ pub struct ControlLoop {
     // --- causal tracing state (all inert when tracing is off) ----------
     /// Root span of the current era (ambient context for plain emits).
     trace_era_ctx: Option<TraceContext>,
-    /// Root span of the most recent scripted link fault/recovery.
+    /// Root span of the most recent fault the chaos layer applied.
     trace_fault_ctx: Option<TraceContext>,
     /// Most recent health transition this era (parents the plan events).
     trace_health_ctx: Option<TraceContext>,
@@ -274,8 +273,6 @@ impl ControlLoop {
             autoscalers: (0..n).map(|_| Autoscaler::new()).collect(),
             observed_response: vec![0.0; n],
             received_rmttf: vec![0.0; n],
-            pending_faults: cfg.link_faults.clone(),
-            recoveries_due: Vec::new(),
             chaos,
             degradation: cfg.degradation.clone(),
             beta: cfg.beta,
@@ -420,71 +417,23 @@ impl ControlLoop {
         self.election().leader(probe).unwrap_or(probe)
     }
 
-    /// Applies due fault injections/recoveries. Returns whether topology
-    /// changed (forcing re-election).
-    fn apply_faults(&mut self) -> bool {
-        let now = self.now;
-        let mut changed = false;
-        let mut still_pending = Vec::new();
-        for f in self.pending_faults.drain(..) {
-            if f.fail_at <= now {
-                self.transport.fail_link(
-                    ExperimentConfig::node_of(f.a),
-                    ExperimentConfig::node_of(f.b),
-                );
-                // Scripted faults are first causes: on tracing runs each
-                // opens a root span downstream suspicion chains hang off.
-                if self.obs.trace_enabled() {
-                    self.trace_fault_ctx = self
-                        .obs
-                        .emit_caused(
-                            now.as_micros(),
-                            "fault.scripted",
-                            vec![("a", Value::from(f.a)), ("b", Value::from(f.b))],
-                            None,
-                        )
-                        .or(self.trace_fault_ctx);
-                }
-                self.recoveries_due.push(f);
-                changed = true;
-            } else {
-                still_pending.push(f);
-            }
-        }
-        self.pending_faults = still_pending;
-
-        let mut still_due = Vec::new();
-        for f in self.recoveries_due.drain(..) {
-            if f.recover_at <= now {
-                self.transport.recover_link(
-                    ExperimentConfig::node_of(f.a),
-                    ExperimentConfig::node_of(f.b),
-                );
-                changed = true;
-            } else {
-                still_due.push(f);
-            }
-        }
-        self.recoveries_due = still_due;
-
-        // Chaos plan replay.
-        if let Some(chaos) = &mut self.chaos {
-            if chaos.apply_due(now, &mut self.transport) {
-                changed = true;
-            }
-            // The newest chaos root (if any) becomes the era's fault
-            // context. It persists across eras on purpose: an unhealed
-            // partition keeps causing losses long after it opened.
-            self.trace_fault_ctx = chaos.last_trace_ctx().or(self.trace_fault_ctx);
-        }
-
+    /// Replays the fault-plan events due at `now` and re-elects the
+    /// leader when the topology changed.
+    fn apply_faults(&mut self) {
+        let Some(chaos) = &mut self.chaos else {
+            return;
+        };
+        let changed = chaos.apply_due(self.now, &mut self.transport);
+        // The newest chaos root (if any) becomes the era's fault context.
+        // It persists across eras on purpose: an unhealed partition keeps
+        // causing losses long after it opened.
+        self.trace_fault_ctx = chaos.last_trace_ctx().or(self.trace_fault_ctx);
         if changed {
             let (_, leader_changed) = self.elector.re_elect(self.transport.graph());
             if leader_changed {
                 self.emit_leader_change();
             }
         }
-        changed
     }
 
     /// One control-plane send attempt from `from` to `to`: routes over the
@@ -553,36 +502,12 @@ impl ControlLoop {
     }
 
     /// Applies every scenario action due at `now` (Sec. II's runtime
-    /// reconfiguration). Re-elects if the topology changed.
+    /// reconfiguration). None of them touches the overlay topology.
     fn apply_scenario(&mut self) {
         let now = self.now;
-        let due = self.scenario.drain_due(now);
-        if due.is_empty() {
-            return;
-        }
-        let mut topology_changed = false;
-        for sa in due {
+        for sa in self.scenario.drain_due(now) {
             match sa.action {
-                ScenarioAction::SwitchPolicy(kind) => {
-                    self.policy = self.policy.clone().with_kind(kind);
-                    if self.obs.enabled() {
-                        self.obs.emit(
-                            now.as_micros(),
-                            "policy.switch",
-                            vec![("policy", Value::from(kind.to_string()))],
-                        );
-                    }
-                }
-                ScenarioAction::FailLink { a, b } => {
-                    self.transport
-                        .fail_link(ExperimentConfig::node_of(a), ExperimentConfig::node_of(b));
-                    topology_changed = true;
-                }
-                ScenarioAction::RecoverLink { a, b } => {
-                    self.transport
-                        .recover_link(ExperimentConfig::node_of(a), ExperimentConfig::node_of(b));
-                    topology_changed = true;
-                }
+                ScenarioAction::SwitchPolicy(kind) => self.set_policy(kind),
                 ScenarioAction::SetTargetActive { region, target } => {
                     let pool = self.vmcs[region].pool_mut();
                     pool.set_target_active(target);
@@ -592,12 +517,6 @@ impl ControlLoop {
                 ScenarioAction::AddVm { region } => {
                     self.vmcs[region].pool_mut().add_vm();
                 }
-            }
-        }
-        if topology_changed {
-            let (_, leader_changed) = self.elector.re_elect(self.transport.graph());
-            if leader_changed {
-                self.emit_leader_change();
             }
         }
     }
@@ -1756,12 +1675,12 @@ mod tests {
     #[test]
     fn link_fault_suspends_plan_updates_for_the_cut_region() {
         let mut cfg = fig3_cfg(PolicyKind::AvailableResources);
-        cfg.link_faults = vec![LinkFault {
-            a: 0,
-            b: 1,
-            fail_at: SimTime::from_secs(300),
-            recover_at: SimTime::from_secs(600),
-        }];
+        cfg.fault_plan = Some(acm_overlay::FaultPlan::scripted(0, Vec::new()).link_flap(
+            NodeId(0),
+            NodeId(1),
+            SimTime::from_secs(300),
+            SimTime::from_secs(600),
+        ));
         let mut cl = oracle_loop(&cfg);
         cl.run(40);
         // The run must survive the partition and keep serving.
@@ -1866,12 +1785,12 @@ mod tests {
     #[test]
     fn policy_switch_and_partition_reach_the_decision_log() {
         let mut cfg = fig3_cfg(PolicyKind::SensibleRouting);
-        cfg.link_faults = vec![LinkFault {
-            a: 0,
-            b: 1,
-            fail_at: SimTime::from_secs(60),
-            recover_at: SimTime::from_secs(120),
-        }];
+        cfg.fault_plan = Some(acm_overlay::FaultPlan::scripted(0, Vec::new()).link_flap(
+            NodeId(0),
+            NodeId(1),
+            SimTime::from_secs(60),
+            SimTime::from_secs(120),
+        ));
         let mut cl = oracle_loop(&cfg);
         cl.run(3);
         cl.set_policy(PolicyKind::AvailableResources);

@@ -19,7 +19,7 @@
 //! * [`cost`] — multi-cloud cost accounting plus the cost-aware policy
 //!   extension (the economics the paper's intro motivates).
 //! * [`scenario`] — scripted runtime reconfigurations (policy switches,
-//!   faults, capacity actions) applied mid-run.
+//!   capacity actions) applied mid-run; faults are `FaultPlan` events.
 //! * [`control_loop`] — the four-state closed loop over real region state.
 //! * [`telemetry`] — per-era records regenerating the paper's figures.
 //! * [`config`] / [`framework`] — experiment wiring, including the paper's

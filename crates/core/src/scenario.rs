@@ -3,10 +3,11 @@
 //! The ACM framework "offers the possibility to modify the deploy at
 //! runtime in case the workload conditions change during the lifetime of
 //! the system" (paper Sec. II). [`Scenario`] makes such modifications
-//! first-class experiment inputs: a timeline of actions — policy switches,
-//! overlay faults, capacity changes — that the control loop applies as
-//! their instants pass. Link faults via [`crate::config::LinkFault`] remain
-//! supported; scenarios are the general mechanism.
+//! first-class experiment inputs: a timeline of runtime reconfigurations —
+//! policy switches, ACTIVE targets, extra VMs — that the control loop
+//! applies as their instants pass. Faults are not scenario actions: every
+//! overlay fault is an [`acm_overlay::FaultPlan`] event in
+//! `ExperimentConfig::fault_plan`.
 
 use crate::policy::PolicyKind;
 use acm_sim::time::SimTime;
@@ -16,20 +17,6 @@ use acm_sim::time::SimTime;
 pub enum ScenarioAction {
     /// Switch the leader's load-balancing policy.
     SwitchPolicy(PolicyKind),
-    /// Fail the overlay link between two regions.
-    FailLink {
-        /// First endpoint (region index).
-        a: usize,
-        /// Second endpoint (region index).
-        b: usize,
-    },
-    /// Recover the overlay link between two regions.
-    RecoverLink {
-        /// First endpoint (region index).
-        a: usize,
-        /// Second endpoint (region index).
-        b: usize,
-    },
     /// Change a region's desired ACTIVE VM count (manual capacity action).
     SetTargetActive {
         /// Region index.
@@ -105,10 +92,6 @@ impl Scenario {
             };
             match sa.action {
                 ScenarioAction::SwitchPolicy(_) => {}
-                ScenarioAction::FailLink { a, b } | ScenarioAction::RecoverLink { a, b } => {
-                    check(a)?;
-                    check(b)?;
-                }
                 ScenarioAction::SetTargetActive { region, .. }
                 | ScenarioAction::AddVm { region } => check(region)?,
             }

@@ -216,9 +216,10 @@ impl FaultPlan {
     /// Checks that every referenced node id is below `node_bound`, the
     /// message probabilities are sane, and the schedule is well-formed:
     /// no zero-length flap or crash windows (the fault and its recovery at
-    /// the same instant replay as a silent no-op), no heal of a partition
-    /// that was never cut (or cut only later), and no duplicate leader
-    /// kills at the same instant (both land in one
+    /// the same instant replay as a silent no-op), no heal, link recovery
+    /// or node revival whose subject has no earlier open fault (the fault
+    /// it was meant to end would replay as permanent), and no duplicate
+    /// leader kills at the same instant (both land in one
     /// [`ChaosLayer::apply_due`] batch, so the second kill fires before
     /// the loop re-elects and the leader the first kill made is never
     /// observed).
@@ -291,26 +292,34 @@ impl FaultPlan {
                 FaultAction::FailLink(a, b) => open_links.push((LinkId::new(*a, *b), ev.at)),
                 FaultAction::RecoverLink(a, b) => {
                     let id = LinkId::new(*a, *b);
-                    if let Some(i) = open_links.iter().position(|(l, _)| *l == id) {
-                        let (_, at) = open_links.remove(i);
-                        if at == ev.at {
-                            return Err(format!(
-                                "zero-length flap of link {a}-{b} at {}us replays as a no-op",
-                                ev.at.as_micros()
-                            ));
-                        }
+                    let Some(i) = open_links.iter().position(|(l, _)| *l == id) else {
+                        return Err(format!(
+                            "recovery of link {a}-{b} at {}us precedes its failure",
+                            ev.at.as_micros()
+                        ));
+                    };
+                    let (_, at) = open_links.remove(i);
+                    if at == ev.at {
+                        return Err(format!(
+                            "zero-length flap of link {a}-{b} at {}us replays as a no-op",
+                            ev.at.as_micros()
+                        ));
                     }
                 }
                 FaultAction::CrashNode(n) => open_crashes.push((*n, ev.at)),
                 FaultAction::RecoverNode(n) => {
-                    if let Some(i) = open_crashes.iter().position(|(m, _)| m == n) {
-                        let (_, at) = open_crashes.remove(i);
-                        if at == ev.at {
-                            return Err(format!(
-                                "zero-length crash window of {n} at {}us replays as a no-op",
-                                ev.at.as_micros()
-                            ));
-                        }
+                    let Some(i) = open_crashes.iter().position(|(m, _)| m == n) else {
+                        return Err(format!(
+                            "revival of {n} at {}us precedes its crash",
+                            ev.at.as_micros()
+                        ));
+                    };
+                    let (_, at) = open_crashes.remove(i);
+                    if at == ev.at {
+                        return Err(format!(
+                            "zero-length crash window of {n} at {}us replays as a no-op",
+                            ev.at.as_micros()
+                        ));
                     }
                 }
                 FaultAction::Partition(group) => {
@@ -1246,6 +1255,31 @@ mod tests {
             action: FaultAction::Heal(vec![n(1)]),
         });
         assert!(lone.validate(3).is_err());
+        // The same order check covers link recoveries and node revivals:
+        // a recovery whose subject has no earlier open fault would replay
+        // the fault as permanent.
+        let mut early_recovery = FaultPlan::scripted(1, Vec::new());
+        early_recovery.events.push(FaultEvent {
+            at: t(100),
+            action: FaultAction::FailLink(n(0), n(1)),
+        });
+        early_recovery.events.push(FaultEvent {
+            at: t(50),
+            action: FaultAction::RecoverLink(n(1), n(0)),
+        });
+        assert!(early_recovery
+            .validate(3)
+            .unwrap_err()
+            .contains("precedes its failure"));
+        let mut early_revival = FaultPlan::scripted(1, Vec::new());
+        early_revival.events.push(FaultEvent {
+            at: t(10),
+            action: FaultAction::RecoverNode(n(2)),
+        });
+        assert!(early_revival
+            .validate(3)
+            .unwrap_err()
+            .contains("precedes its crash"));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! cargo run --release --example failover_drill
 //! ```
 
-use acm::core::config::{ExperimentConfig, LinkFault, PredictorChoice};
+use acm::core::config::{ExperimentConfig, PredictorChoice};
 use acm::core::framework::run_experiment;
 use acm::core::policy::PolicyKind;
-use acm::overlay::{election, NodeId, OverlayGraph};
+use acm::overlay::{election, FaultPlan, NodeId, OverlayGraph};
 use acm::sim::{Duration, SimTime};
 
 fn leader_election_demo() {
@@ -52,12 +52,12 @@ fn main() {
     let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 42);
     cfg.predictor = PredictorChoice::Oracle;
     cfg.eras = 60;
-    cfg.link_faults = vec![LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: SimTime::from_secs(600),
-        recover_at: SimTime::from_secs(900),
-    }];
+    cfg.fault_plan = Some(FaultPlan::scripted(0, vec![]).link_flap(
+        NodeId(0),
+        NodeId(1),
+        SimTime::from_secs(600),
+        SimTime::from_secs(900),
+    ));
     let tel = run_experiment(&cfg);
 
     println!(

@@ -79,37 +79,6 @@ fn scripted_capacity_change_is_applied() {
 }
 
 #[test]
-fn scripted_link_fault_matches_link_fault_config() {
-    // The scenario mechanism must behave exactly like the legacy
-    // link_faults list.
-    let mut via_faults = base(PolicyKind::AvailableResources);
-    via_faults.eras = 40;
-    via_faults.link_faults = vec![acm::core::config::LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: t(300),
-        recover_at: t(600),
-    }];
-    let tel_faults = run_experiment(&via_faults);
-
-    let mut via_scenario = base(PolicyKind::AvailableResources);
-    via_scenario.eras = 40;
-    via_scenario.scenario = Scenario::new(vec![
-        ScheduledAction {
-            at: t(300),
-            action: ScenarioAction::FailLink { a: 0, b: 1 },
-        },
-        ScheduledAction {
-            at: t(600),
-            action: ScenarioAction::RecoverLink { a: 0, b: 1 },
-        },
-    ]);
-    let tel_scenario = run_experiment(&via_scenario);
-
-    assert_eq!(tel_faults.to_csv(), tel_scenario.to_csv());
-}
-
-#[test]
 fn invalid_scenario_is_rejected_at_validation() {
     let mut cfg = base(PolicyKind::AvailableResources);
     cfg.scenario = Scenario::new(vec![ScheduledAction {

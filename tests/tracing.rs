@@ -11,8 +11,8 @@
 //!    the exact event stream of a build that never heard of tracing (no
 //!    extra kinds, no extra fields).
 //! 3. **Chains are complete** — every quarantine decision in a chaos run
-//!    walks parent links back to a root cause (chaos fault, scripted
-//!    fault, or the era itself), with no orphan spans.
+//!    walks parent links back to a root cause (a chaos fault or the era
+//!    itself), with no orphan spans.
 
 use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm::core::policy::PolicyKind;
